@@ -1,38 +1,18 @@
-// The async call path (docs/async.md): pipelined submit/flush legs that
-// amortize the trap pair and the domain-transfer pair across a ring of
-// pending calls, on every backend. The per-call kernel work — validation,
-// E-stack association, linkage push/pop, call/return charges — is kept
-// identical to the synchronous path in src/lrpc/call.cc so the two produce
-// the same results and the same kernel-event multiset (the equivalence the
-// property suite in tests/async_property_test.cc pins down).
+// The async call path (docs/async.md): a ring of pending calls whose
+// Submit is the runtime's client stub (LrpcRuntime::StubCall) into a slot
+// and whose Flush is the runtime's kernel leg (LrpcRuntime::KernelLeg)
+// over every pending slot — the same code a synchronous call runs, which
+// is a leg of one. The ring itself owns only its tokens, the SPSC
+// completion ring and the callbacks.
 
 #include "src/lrpc/async_call.h"
 
-#include <cstring>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/fast_path.h"
-#include "src/lrpc/proc_transport.h"
-#include "src/lrpc/server_frame.h"
 
 namespace lrpc {
-
-namespace {
-
-// Virtual-page touch trace, kept in lockstep with the synchronous path's
-// constants (src/lrpc/call.cc): the TLB model must see the same per-call
-// page set whichever path carries the call.
-constexpr int kClientStubPages = 5;
-constexpr std::uint64_t kClientBindingPageOffset = 8;
-constexpr int kClientBindingPages = 2;
-constexpr std::uint64_t kClientAStackPageOffset = 6;
-constexpr int kKernelCallPages = 14;
-constexpr std::uint64_t kKernelReturnPageOffset = 16;
-constexpr int kKernelReturnPages = 11;
-constexpr int kServerPages = 10;
-
-}  // namespace
 
 AsyncRing::AsyncRing(LrpcRuntime& runtime, ClientBinding& binding,
                      ThreadId thread, int depth)
@@ -40,12 +20,12 @@ AsyncRing::AsyncRing(LrpcRuntime& runtime, ClientBinding& binding,
       binding_(binding),
       thread_(thread),
       depth_(depth < 1 ? 1 : (depth > kMaxDepth ? kMaxDepth : depth)) {
+  calls_.resize(static_cast<std::size_t>(depth_));
   slots_.resize(static_cast<std::size_t>(depth_));
   for (Slot& slot : slots_) {
-    // Reserve the per-slot vectors up front so the submit leg never grows a
+    // Reserve the per-slot vector up front so the submit leg never grows a
     // container (the fast-path purity discipline, docs/fast_path.md).
     slot.rets.reserve(8);
-    slot.oob.reserve(4);
   }
   comp_.resize(static_cast<std::size_t>(depth_));
 }
@@ -67,17 +47,18 @@ const AsyncCompletion* AsyncRing::Find(CallToken token) const {
   return nullptr;
 }
 
-// --- The submission and flush legs: the pipelined twin of the fast path in
-// call.cc. Same purity rules (lrpc_lint, rule lrpc-fast-path): no
-// allocation, no logging, no lock acquisition until the matching END. ---
+// --- The submission and flush legs: thin wrappers over the runtime's
+// fast path, under the same purity rules (lrpc_lint, rule lrpc-fast-path):
+// no allocation, no logging, no lock acquisition until the matching END. ---
 LRPC_FAST_PATH_BEGIN("async submit/flush");
 
-void AsyncRing::PublishCompletion(Slot& slot) {
+void AsyncRing::PublishCompletion(Slot& slot,
+                                  const LrpcRuntime::PendingCall& call) {
   CompCell& cell = comp_[tail_mirror_ % static_cast<std::uint32_t>(depth_)];
   cell.value.token = slot.token;
-  cell.value.procedure = slot.procedure;
-  cell.value.status = slot.status;
-  cell.value.stats = slot.stats;
+  cell.value.procedure = call.procedure;
+  cell.value.status = call.status;
+  cell.value.stats = call.stats;
   cell.callback = std::move(slot.callback);
   slot.callback = nullptr;
   ++tail_mirror_;
@@ -92,8 +73,6 @@ Result<CallToken> AsyncRing::Submit(Processor& cpu, int procedure,
                                     std::span<const CallArg> args,
                                     std::span<const CallRet> rets,
                                     AsyncCallback callback) {
-  Kernel& kernel = runtime_.kernel_;
-  const MachineModel& model = kernel.model();
   if (dead_) {
     return Status(ErrorCode::kNoSuchThread, "the ring's thread died");
   }
@@ -101,127 +80,25 @@ Result<CallToken> AsyncRing::Submit(Processor& cpu, int procedure,
     return Status(ErrorCode::kAsyncQueueFull,
                   "reap completions before submitting more");
   }
-  Thread* t = kernel.FindThread(thread_);
-  if (t == nullptr || t->state() == ThreadState::kDead) {
-    return Status(ErrorCode::kNoSuchThread);
-  }
-  if (t->current_domain() != binding_.client()) {
-    return Status(ErrorCode::kPermissionDenied,
-                  "thread is not executing in the binding's client domain");
-  }
-  if (binding_.object().remote) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "the async path is local-only; remote bindings take the "
-                  "wire path");
-  }
-  const Interface* iface = binding_.interface_spec();
-  if (procedure < 0 || procedure >= iface->procedure_count()) {
-    return Status(ErrorCode::kNoSuchProcedure);
-  }
-  const ProcedureDescriptor& pd = iface->pd(procedure);
-  const ProcedureDef& def = *pd.def;
-  Domain* client = kernel.FindDomain(binding_.client());
-  LRPC_CHECK(client != nullptr);
-
-  // The client-stub half, charge-for-charge the synchronous call half: one
-  // procedure call into the stub, the stub work outside the queue critical
-  // sections, the same page touches. The pop's lock hold is charged by the
-  // queue; the matching push happens at flush-time requeue.
-  cpu.Charge(CostCategory::kProcedureCall, model.procedure_call);
-  const SimDuration stub_outside_locks =
-      model.lrpc_client_stub - 2 * model.astack_queue_lock_hold;
-  cpu.Charge(CostCategory::kClientStub, stub_outside_locks);
-  kernel.TouchPages(cpu, client->page_base(), kClientStubPages);
-  kernel.TouchPages(cpu, client->page_base() + kClientBindingPageOffset,
-                    kClientBindingPages);
-  kernel.TouchPages(cpu, client->page_base() + kClientAStackPageOffset, 1);
-
-  FaultInjector* injector = kernel.fault_injector();
-  ParFreeList* par_list = binding_.par_queue(pd.astack_group);
-  AStackQueue* queue =
-      par_list == nullptr ? &binding_.queue(pd.astack_group) : nullptr;
-  Result<AStackRef> astack_result =
-      FaultPointFires(injector, FaultKind::kAStackExhaustion)
-          ? Result<AStackRef>(
-                Status(ErrorCode::kAStacksExhausted, "fault injection: empty"))
-      : par_list != nullptr ? par_list->Pop(cpu, model.astack_queue_lock_hold)
-                            : queue->Pop(cpu, model.astack_queue_lock_hold);
-  if (!astack_result.ok()) {
-    if (par_list != nullptr ||
-        binding_.exhaustion_policy() != AStackExhaustionPolicy::kAllocateMore) {
-      return astack_result.status();
-    }
-    const Status grown = runtime_.GrowAStacks(cpu, binding_, pd.astack_group);
-    if (!grown.ok()) {
-      return grown;
-    }
-    astack_result = queue->Pop(cpu, model.astack_queue_lock_hold);
-    if (!astack_result.ok()) {
-      return astack_result.status();
-    }
-  }
-  const AStackRef astack = *astack_result;
-  LinkageRecord& linkage = astack.linkage();
-  auto requeue_astack = [&] {
-    if (par_list != nullptr) {
-      par_list->Push(cpu, astack, model.astack_queue_lock_hold);
-    } else {
-      queue->Push(cpu, astack, model.astack_queue_lock_hold);
-    }
-  };
-  if (linkage.in_use) {
-    // The free list handed out a claimed pair — the kernel's claim check,
-    // run early because the reservation would otherwise alias it.
-    requeue_astack();
-    return Status(ErrorCode::kAStackInUse);
-  }
-
-  Slot& slot = slots_[static_cast<std::size_t>(submit_count_)];
-  slot.token = ++next_token_;
-  slot.procedure = procedure;
-  slot.pd = &pd;
-  slot.astack = astack;
-  slot.par_list = par_list;
-  slot.queue = queue;
+  // Copy A happens here: the caller's argument bytes may go out of scope
+  // before the flush, so the A-stack window is the call's storage from now
+  // on. The CallRet descriptors are kept in the slot for the copy-out.
+  const auto i = static_cast<std::size_t>(submit_count_);
+  Slot& slot = slots_[i];
   slot.rets.assign(rets.begin(), rets.end());
-  slot.oob.clear();
+  LrpcRuntime::PendingCall& call = calls_[i];
+  call = {.procedure = procedure, .rets = slot.rets};
+  const Status stub = runtime_.StubCall(cpu, thread_, binding_, args, call);
+  if (!stub.ok()) {
+    return stub;
+  }
+  // The claim now spans the submit/flush gap: register it with the thread
+  // (invariant I5) until the kernel leg pushes it.
+  runtime_.kernel_.FindThread(thread_)->RegisterAsyncPending(call.astack);
+  slot.token = ++next_token_;
   slot.callback = std::move(callback);
-  slot.stats = CallStats{};
-  slot.status = Status::Ok();
-  slot.estack = -1;
-  slot.finished = false;
-  slot.completed_normally = false;
-  if (astack.region->secondary()) {
-    slot.stats.used_secondary_astack = true;
-  }
-
-  // Copy A happens at submit time: the caller's argument bytes may go out
-  // of scope before the flush, so the A-stack window is the pipelined
-  // call's storage from here on.
-  const Status marshal = runtime_.MarshalArguments(
-      cpu, client->id(), def, astack, args, &slot.stats, &slot.oob);
-  if (!marshal.ok()) {
-    for (std::uint64_t index : slot.oob) {
-      runtime_.ReleaseOobSegment(index);
-    }
-    requeue_astack();
-    return marshal;
-  }
-
-  // Claim the linkage — in_use, caller recorded — without pushing it: the
-  // call is in flight, not executing. The claim seq is stamped at flush
-  // time when the linkage actually goes on the stack, so I1's LIFO order
-  // stays meaningful. The reservation registers with the thread for the
-  // checker's I5 audit.
-  linkage.in_use = true;
-  linkage.caller_thread = thread_;
-  linkage.caller_domain = client->id();
-  linkage.procedure = static_cast<std::uint32_t>(procedure);
-  linkage.return_address = 0x4000 + static_cast<std::uint64_t>(procedure);
-  linkage.saved_stack_pointer = t->user_sp();
-  t->RegisterAsyncPending(astack);
   ++submit_count_;
-  kernel.NotifyEvent(KernelEventKind::kAsyncSubmitted);
+  runtime_.kernel_.NotifyEvent(KernelEventKind::kAsyncSubmitted);
   return slot.token;
 }
 
@@ -229,413 +106,15 @@ void AsyncRing::Flush(Processor& cpu) {
   if (submit_count_ == 0) {
     return;
   }
-  Kernel& kernel = runtime_.kernel_;
-  const MachineModel& model = kernel.model();
-  const std::span<Slot> pending{slots_.data(),
-                                static_cast<std::size_t>(submit_count_)};
-
-  // Releases a slot's claim without executing it. `requeue` follows the
-  // synchronous path's rule: an A-stack of a revoked binding never rejoins
-  // its free list (the region dies with the binding); every other return
-  // route pushes it back and announces CallReturned.
-  Thread* t = kernel.FindThread(thread_);
-  auto abandon_slot = [&](Slot& slot, Status status, bool requeue) {
-    slot.status = status;
-    slot.finished = true;
-    if (t != nullptr) {
-      t->UnregisterAsyncPending(slot.astack);
-    }
-    for (std::uint64_t index : slot.oob) {
-      runtime_.ReleaseOobSegment(index);
-    }
-    slot.oob.clear();
-    slot.astack.linkage().in_use = false;
-    if (requeue) {
-      if (slot.par_list != nullptr) {
-        slot.par_list->Push(cpu, slot.astack, model.astack_queue_lock_hold);
-      } else {
-        slot.queue->Push(cpu, slot.astack, model.astack_queue_lock_hold);
-      }
-      kernel.NotifyEvent(KernelEventKind::kCallReturned);
-    }
-  };
-  auto publish_all = [&] {
-    for (Slot& slot : pending) {
-      PublishCompletion(slot);
-    }
-    submit_count_ = 0;
-  };
-
-  if (t == nullptr || t->state() == ThreadState::kDead) {
-    // The ring's thread died between submit and flush. If the binding is
-    // still live (the thread died alone) the claims release back to the
-    // free list; if the client domain terminated, the regions died with
-    // the binding and never rejoin a queue (the synchronous rule).
+  const std::span<LrpcRuntime::PendingCall> pending{
+      calls_.data(), static_cast<std::size_t>(submit_count_)};
+  if (!runtime_.KernelLeg(cpu, thread_, binding_, pending, call_deadline_)) {
     dead_ = true;
-    const bool binding_live =
-        kernel.bindings()
-            .CheckValidate(binding_.object(), binding_.client())
-            .ok();
-    for (Slot& slot : pending) {
-      abandon_slot(slot,
-                   Status(ErrorCode::kNoSuchThread,
-                          "the ring's thread died before the flush"),
-                   /*requeue=*/binding_live);
-    }
-    publish_all();
-    return;
   }
-
-  FaultInjector* injector = kernel.fault_injector();
-
-  // --- One call-leg trap for the whole batch (the first amortized cost). ---
-  kernel.ChargeTrap(cpu);
-
-  // --- Kernel, call leg: per-call validation and E-stack association, as
-  // in the synchronous path; only the trap above is shared. ---
-  Result<BindingRecord*> record_result =
-      runtime_.par_bindings_ != nullptr
-          ? runtime_.par_bindings_->ValidateCached(binding_.object(),
-                                                   binding_.client())
-          : kernel.bindings().Validate(binding_.object(), binding_.client());
-  BindingRecord* record =
-      record_result.ok() ? *record_result : nullptr;
-
-  int runnable = 0;
-  for (Slot& slot : pending) {
-    cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_call);
-    kernel.TouchPages(cpu, kernel.kernel_page_base(), kKernelCallPages);
-    if (record == nullptr) {
-      // The kernel rejects the whole batch at the binding check; each
-      // A-stack bounces back to its queue as the synchronous reject does.
-      abandon_slot(slot, record_result.status(), /*requeue=*/true);
-      continue;
-    }
-    bool region_of_binding = false;
-    for (const auto& region : record->regions) {
-      if (region.get() == slot.astack.region) {
-        region_of_binding = true;
-        break;
-      }
-    }
-    if (!region_of_binding) {
-      abandon_slot(slot,
-                   Status(ErrorCode::kInvalidAStack,
-                          "A-stack not of this binding"),
-                   /*requeue=*/true);
-      continue;
-    }
-    if (slot.astack.region->secondary()) {
-      cpu.Charge(CostCategory::kKernelPath, model.lrpc_secondary_astack_check);
-    }
-    Result<int> validated_index =
-        slot.astack.region->ValidateOffset(slot.astack.offset());
-    if (!validated_index.ok() || *validated_index != slot.astack.index) {
-      abandon_slot(slot, Status(ErrorCode::kInvalidAStack), /*requeue=*/true);
-      continue;
-    }
-    Domain& server = kernel.domain(record->server);
-    Result<int> estack =
-        runtime_.backend_ == RuntimeBackend::kParallelHost
-            ? kernel.EnsureEStackParallel(server, slot.astack, cpu.clock())
-            : kernel.EnsureEStack(server, slot.astack, cpu.clock());
-    if (!estack.ok()) {
-      abandon_slot(slot, estack.status(), /*requeue=*/true);
-      continue;
-    }
-    slot.estack = *estack;
-    ++runnable;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    PublishCompletion(slots_[i], pending[i]);
   }
-
-  if (runnable == 0) {
-    // Nothing survived validation: the batch bounces off the kernel the way
-    // a rejected synchronous call does — back through the return trap.
-    kernel.ChargeTrap(cpu);
-    publish_all();
-    return;
-  }
-
-  // --- One domain transfer into the server (the second amortized cost). ---
-  Domain& server = kernel.domain(record->server);
-  Domain* client = kernel.FindDomain(binding_.client());
-  LRPC_CHECK(client != nullptr);
-  const Kernel::TransferResult call_transfer =
-      kernel.EnterDomain(cpu, *t, server, /*allow_exchange=*/true);
-
-  // --- Doorbell batching (docs/multiprocess.md): every channel-eligible
-  // call crosses into the server process behind a single futex ring. ---
-  ProcTransport::BatchCall proc_calls[kMaxDepth];
-  Slot* proc_slots[kMaxDepth];
-  std::size_t proc_count = 0;
-  const bool proc_routed = runtime_.backend_ == RuntimeBackend::kMultiProcess &&
-                           runtime_.proc_ != nullptr &&
-                           runtime_.proc_->Serves(record->server);
-  if (proc_routed) {
-    for (Slot& slot : pending) {
-      if (slot.finished || !slot.oob.empty() ||
-          slot.pd->astack_size > runtime_.proc_->payload_capacity()) {
-        continue;
-      }
-      ProcTransport::BatchCall& call = proc_calls[proc_count];
-      call.procedure = slot.procedure;
-      call.inline_window = false;
-      call.window = slot.astack.region->segment().DataUnchecked() +
-                    slot.astack.offset();
-      call.window_len = slot.pd->astack_size;
-      proc_slots[proc_count] = &slot;
-      ++proc_count;
-    }
-    if (proc_count > 0) {
-      ProcTransport::KillPhase kill = ProcTransport::KillPhase::kNone;
-      if (FaultPointFires(injector, FaultKind::kPeerProcessDeath)) {
-        switch (injector->hits(FaultKind::kPeerProcessDeath) % 3) {
-          case 0: kill = ProcTransport::KillPhase::kBeforeAccept; break;
-          case 1: kill = ProcTransport::KillPhase::kInServerBody; break;
-          default: kill = ProcTransport::KillPhase::kAfterReturn; break;
-        }
-      }
-      (void)runtime_.proc_->ExecuteBatch(
-          record->server, client->id(),
-          std::span<ProcTransport::BatchCall>(proc_calls, proc_count), kill);
-    }
-  }
-  auto proc_result_of = [&](const Slot& slot) -> const ProcTransport::BatchCall* {
-    for (std::size_t i = 0; i < proc_count; ++i) {
-      if (proc_slots[i] == &slot) {
-        return &proc_calls[i];
-      }
-    }
-    return nullptr;
-  };
-
-  // --- Per-call server execution: push the linkage (one at a time, so the
-  // collector, the captured-thread escape and the watchdog see exactly the
-  // synchronous shape), run the handler, pop, unmarshal. ---
-  bool poisoned = false;      // The ring's thread died (capture/abandon).
-  bool unwound = false;       // The collector restarted the thread.
-  bool peer_death_seen = false;
-  for (Slot& slot : pending) {
-    if (slot.finished) {
-      continue;
-    }
-    if (poisoned) {
-      // The thread died under an earlier entry: nothing can execute. A
-      // capture leaves the binding intact (requeue); a revocation-driven
-      // death means the regions died with the binding.
-      abandon_slot(slot, Status(ErrorCode::kCallAborted,
-                                "ring thread was abandoned mid-batch"),
-                   /*requeue=*/kernel.bindings()
-                       .CheckValidate(binding_.object(), binding_.client())
-                       .ok());
-      continue;
-    }
-    if (unwound) {
-      // The server terminated under an earlier entry; these linkages were
-      // invalidated by the collector.
-      const ProcTransport::BatchCall* proc_call = proc_result_of(slot);
-      Status status(ErrorCode::kCallFailed, "server domain terminated");
-      if (proc_call != nullptr && proc_call->leg.ok()) {
-        status = proc_call->handler_status;  // Finished before the death.
-      } else if (proc_call != nullptr &&
-                 proc_call->leg.code() == ErrorCode::kPeerDied) {
-        status = proc_call->leg;  // Never accepted: retryable.
-      }
-      // The server's termination revoked the binding: the A-stacks never
-      // rejoin a free list (the synchronous revoked-call rule).
-      if (status.ok()) {
-        slot.stats.server_status = status;
-        Status unmarshal = runtime_.UnmarshalResults(
-            cpu, client->id(), *slot.pd->def, slot.astack,
-            std::span<const CallRet>(slot.rets), &slot.stats);
-        abandon_slot(slot, unmarshal, /*requeue=*/false);
-      } else {
-        abandon_slot(slot, status, /*requeue=*/false);
-      }
-      continue;
-    }
-
-    LinkageRecord& linkage = slot.astack.linkage();
-    cpu.Charge(CostCategory::kServerStub, model.lrpc_server_stub);
-    kernel.TouchPages(cpu, server.page_base(), kServerPages);
-
-    // The reservation becomes the executing call: off the pending set, onto
-    // the linkage stack, claim order stamped now.
-    t->UnregisterAsyncPending(slot.astack);
-    linkage.valid = true;
-    linkage.seq = kernel.NextLinkageSeq();
-    linkage.binding = record->id;
-    t->PushLinkage(slot.astack);
-    kernel.NotifyEvent(KernelEventKind::kLinkageClaimed);
-    t->set_user_sp(0x80000000ULL +
-                   static_cast<std::uint64_t>(slot.estack) * 0x10000ULL);
-
-    const ProcTransport::BatchCall* proc_call = proc_result_of(slot);
-    bool peer_pre_death = false;
-    bool peer_mid_death = false;
-    Status server_status = Status::Ok();
-    if (call_deadline_ > 0) {
-      kernel.ArmCallWatchdog(thread_, cpu.clock() + call_deadline_);
-    }
-    if (proc_call != nullptr) {
-      if (proc_call->leg.ok()) {
-        server_status = proc_call->handler_status;
-      } else if (proc_call->leg.code() == ErrorCode::kPeerDied) {
-        peer_pre_death = true;
-      } else {
-        peer_mid_death = true;
-      }
-    } else {
-      ServerFrame frame(&runtime_, cpu, *slot.pd->def, slot.astack,
-                        server.id(), client->id(), thread_, &slot.stats.copies);
-      server_status = frame.PrepareArguments();
-      if (server_status.ok() && slot.pd->def->handler) {
-        server_status = slot.pd->def->handler(frame);
-      }
-    }
-    slot.stats.server_status = server_status;
-
-    if (peer_pre_death || peer_mid_death) {
-      // The real server process is a corpse: run the collector against it,
-      // with this entry's linkage pushed so the unwind has a frame to
-      // deliver to — exactly the synchronous shape.
-      (void)runtime_.TerminateDomain(record->server);
-      if (!peer_death_seen) {
-        kernel.NotifyEvent(KernelEventKind::kPeerDeath);
-        peer_death_seen = true;
-      }
-    }
-    if (FaultPointFires(injector, FaultKind::kDomainTermination)) {
-      (void)runtime_.TerminateDomain(record->server);
-    } else if (FaultPointFires(injector, FaultKind::kThreadCapture)) {
-      (void)kernel.AbandonCapturedCall(*t);
-    }
-
-    cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_return);
-    kernel.TouchPages(cpu,
-                      kernel.kernel_page_base() + kKernelReturnPageOffset,
-                      kKernelReturnPages);
-    kernel.PollCallWatchdog(cpu, *t);
-    if (call_deadline_ > 0) {
-      kernel.DisarmCallWatchdog(thread_);
-    }
-
-    if (t->captured()) {
-      if (t->HasLinkages() && t->linkage_stack().back() == slot.astack) {
-        t->PopLinkage();
-      }
-      linkage.in_use = false;
-      if (slot.par_list != nullptr) {
-        slot.par_list->Push(cpu, slot.astack, model.astack_queue_lock_hold);
-      } else {
-        slot.queue->Push(cpu, slot.astack, model.astack_queue_lock_hold);
-      }
-      kernel.DestroyThread(*t);
-      kernel.NotifyEvent(KernelEventKind::kCallReturned);
-      slot.status =
-          Status(ErrorCode::kCallAborted, "thread was abandoned by its client");
-      slot.finished = true;
-      poisoned = true;
-      dead_ = true;
-      continue;
-    }
-
-    if (!t->HasLinkages() || !(t->linkage_stack().back() == slot.astack)) {
-      // The termination collector unwound the thread mid-entry: it is back
-      // in a caller domain carrying an exception. Restore the processor
-      // context there once; later entries complete against the revoked
-      // binding above.
-      Domain* resumed_in = kernel.FindDomain(t->current_domain());
-      if (resumed_in != nullptr) {
-        kernel.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
-      }
-      const ThreadException exc = t->TakeException();
-      if (exc == ThreadException::kCallAborted) {
-        slot.status = Status(ErrorCode::kCallAborted);
-      } else if (peer_pre_death) {
-        slot.status = Status(ErrorCode::kPeerDied,
-                             "server process died before accepting the call");
-      } else {
-        slot.status = Status(ErrorCode::kCallFailed,
-                             "server domain terminated");
-      }
-      slot.finished = true;
-      unwound = true;
-      continue;
-    }
-
-    t->PopLinkage();
-    const bool linkage_was_valid = linkage.valid;
-    t->set_user_sp(linkage.saved_stack_pointer);
-    slot.astack.region->set_last_used(slot.astack.index, cpu.clock());
-
-    if (!linkage_was_valid) {
-      linkage.in_use = false;
-      slot.status =
-          Status(ErrorCode::kCallFailed, "binding revoked during call");
-      slot.finished = true;
-      if (kernel.UnwindWithException(*t, ThreadException::kCallFailed)) {
-        Domain* resumed_in = kernel.FindDomain(t->current_domain());
-        if (resumed_in != nullptr) {
-          kernel.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
-        }
-        t->TakeException();
-        unwound = true;
-      } else {
-        poisoned = true;
-        dead_ = true;
-      }
-      continue;
-    }
-
-    // Client-stub return half for this entry: copy F into the caller's
-    // destinations, release the out-of-band segments, requeue the A-stack.
-    kernel.TouchPages(cpu, client->page_base(), kClientStubPages);
-    kernel.TouchPages(cpu, client->page_base() + kClientAStackPageOffset, 1);
-    Status unmarshal = Status::Ok();
-    if (server_status.ok()) {
-      unmarshal = runtime_.UnmarshalResults(
-          cpu, client->id(), *slot.pd->def, slot.astack,
-          std::span<const CallRet>(slot.rets), &slot.stats);
-    }
-    for (std::uint64_t index : slot.oob) {
-      runtime_.ReleaseOobSegment(index);
-    }
-    slot.oob.clear();
-    linkage.in_use = false;
-    if (slot.par_list != nullptr) {
-      slot.par_list->Push(cpu, slot.astack, model.astack_queue_lock_hold);
-    } else {
-      slot.queue->Push(cpu, slot.astack, model.astack_queue_lock_hold);
-    }
-    kernel.NotifyEvent(KernelEventKind::kCallReturned);
-    slot.status = !server_status.ok() ? server_status : unmarshal;
-    slot.stats.exchanged_on_call = call_transfer.exchanged;
-    slot.finished = true;
-    slot.completed_normally = true;
-  }
-
-  // --- One return trap for the whole batch. ---
-  kernel.ChargeTrap(cpu);
-
-  if (!poisoned && !unwound) {
-    // --- One domain transfer back into the client. ---
-    const Kernel::TransferResult return_transfer =
-        kernel.EnterDomain(cpu, *t, *client, /*allow_exchange=*/true);
-    for (Slot& slot : pending) {
-      if (!slot.completed_normally) {
-        continue;
-      }
-      slot.stats.exchanged_on_return = return_transfer.exchanged;
-      if ((slot.stats.exchanged_on_call || slot.stats.exchanged_on_return) &&
-          slot.stats.astack_bytes > 0) {
-        cpu.Charge(CostCategory::kProcessorExchange,
-                   Micros(model.exchange_cold_per_byte_us *
-                          static_cast<double>(slot.stats.astack_bytes)));
-      }
-    }
-  }
-
-  publish_all();
+  submit_count_ = 0;
 }
 
 LRPC_FAST_PATH_END("async submit/flush");

@@ -8,16 +8,18 @@
 // (binding, thread) pair and amortizes exactly those two costs across the
 // batch, io_uring-style:
 //
-//   Submit  the client-stub half of one call: pop an A-stack from the
+//   Submit  the client-stub half of one call (LrpcRuntime::StubCall, the
+//           same code a synchronous call runs): pop an A-stack from the
 //           binding's per-group free list, marshal the arguments (copy A)
 //           and *claim* the linkage record — in_use, caller recorded — but
 //           do not trap. The reservation registers with the thread
 //           (Thread::async_pending) so the kernel's invariant checker sees
 //           every in-flight call (invariant I5).
-//   Flush   the batched kernel leg: ONE trap pair and ONE domain-transfer
-//           pair for the whole batch; per call the kernel still validates
-//           the Binding Object and A-stack, associates an E-stack, pushes
-//           and pops the linkage around the server execution (so the
+//   Flush   the kernel leg (LrpcRuntime::KernelLeg, of which a synchronous
+//           call is the one-call case) over every pending call: ONE trap
+//           pair and ONE domain-transfer pair for the whole batch; per call
+//           the kernel still validates the A-stack, associates an E-stack,
+//           pushes and pops the linkage around the server execution (so the
 //           termination collector, the captured-thread escape and the call
 //           watchdog all operate unchanged) and charges its call/return
 //           work. On the multi-process backend the batch crosses the
@@ -95,7 +97,7 @@ class AsyncRing {
  public:
   // Depth ceiling: matches DomainConfig::estack_capacity, since every
   // in-flight call of a batch holds its own E-stack association.
-  static constexpr int kMaxDepth = 16;
+  static constexpr int kMaxDepth = LrpcRuntime::kMaxLegCalls;
 
   // One ring per (binding, thread) pair. `depth` is clamped to
   // [1, kMaxDepth]. The binding must be local (the wire path has no batched
@@ -161,25 +163,14 @@ class AsyncRing {
   }
 
  private:
-  // One pending (submitted, unflushed) call. Slots hold no heap storage
-  // beyond their reserved vectors, so the submit leg stays allocation-free.
+  // The ring's own part of one pending call; the call itself is the
+  // runtime's PendingCall at the same index of calls_. A slot holds no
+  // heap storage beyond its reserved vector, so the submit leg stays
+  // allocation-free.
   struct Slot {
     CallToken token = 0;
-    int procedure = -1;
-    const ProcedureDescriptor* pd = nullptr;
-    AStackRef astack;
-    ParFreeList* par_list = nullptr;
-    AStackQueue* queue = nullptr;
-    std::vector<CallRet> rets;
-    std::vector<std::uint64_t> oob;
+    std::vector<CallRet> rets;  // The caller's destinations, kept to flush.
     AsyncCallback callback;
-    CallStats stats;
-    Status status;
-    int estack = -1;        // E-stack associated during the kernel leg.
-    bool finished = false;  // Completed during the kernel leg (no execution).
-    // Took the full return leg: eligible for the return transfer's
-    // exchange-cold charge.
-    bool completed_normally = false;
   };
 
   // One cell of the SPSC completion ring: the value plus the callback the
@@ -191,7 +182,7 @@ class AsyncRing {
   };
 
   // Publishes into the SPSC completion ring (release store on the tail).
-  void PublishCompletion(Slot& slot);
+  void PublishCompletion(Slot& slot, const LrpcRuntime::PendingCall& call);
   // Completions published but not yet reaped.
   std::uint32_t Unreaped() const;
 
@@ -203,7 +194,9 @@ class AsyncRing {
   bool dead_ = false;
   CallToken next_token_ = 0;
 
-  std::vector<Slot> slots_;  // Fixed size depth_; [0, submit_count_) pending.
+  // Both fixed size depth_; [0, submit_count_) are pending.
+  std::vector<LrpcRuntime::PendingCall> calls_;
+  std::vector<Slot> slots_;
   int submit_count_ = 0;
 
   // SPSC completion ring (docs/async.md): the flush leg publishes at

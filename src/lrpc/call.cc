@@ -171,62 +171,42 @@ Status LrpcRuntime::CallInlineParallel(Processor& cpu, ThreadId thread_id,
   return CallLocal(cpu, thread_id, binding, procedure, {}, {}, cs, &win);
 }
 
-// The common-case call: client stub, kernel validation and transfer, server
-// stub, and the return leg. Everything here is "a handful of moves and a
-// trap" — lrpc_lint rejects allocation, logging and lock acquisition until
-// the matching END (rule lrpc-fast-path).
+// The common-case call in its phases: StubCall (the client stub's call
+// half), then KernelLeg (trap, validation, transfer, server stub, return
+// leg) ending in each call's CopyOut (the client stub's return half). A
+// synchronous call is a leg of one; an AsyncRing flush is a leg of many.
+// Everything here is "a handful of moves and a trap" — lrpc_lint rejects
+// allocation, logging and lock acquisition until the matching END (rule
+// lrpc-fast-path).
 LRPC_FAST_PATH_BEGIN("lrpc call/return");
 
 // The register window must hold any eligible procedure's full slot span.
 static_assert(kInlineSlotSpanLimit <= kLinkageRegsSize,
               "inline slot-span cap exceeds the linkage register window");
 
-// Inline-path copy A: the caller already packed its arguments at their slot
-// offsets, so the whole window moves with one memcpy — no per-argument
-// rights-checked segment writes. The model charges stay per-argument
-// (summed, then charged once) so the deterministic backend's ledger and
-// clock are tick-identical to the general path.
-void LrpcRuntime::MarshalInline(Processor& cpu, const ProcedureDef& def,
-                                const ProcedureDescriptor& pd,
-                                LinkageRecord& linkage,
-                                const InlineWindow& win, CallStats& cs) {
-  if (pd.slot_span > 0) {
+// The inline path's copies: A (`to_server`) moves the caller's packed
+// window into the linkage record's registers, F moves the registers back
+// out; the stub scatters from slot offsets. One memcpy each way — no
+// per-argument rights-checked segment writes. The model charges stay
+// per-argument (summed, then charged once) so the deterministic backend's
+// ledger and clock are tick-identical to the general path.
+void LrpcRuntime::CopyInline(Processor& cpu, const ProcedureDescriptor& pd,
+                             LinkageRecord& linkage, const InlineWindow& win,
+                             CallStats& cs, bool to_server) {
+  if (pd.slot_span > 0 && to_server) {
     std::memcpy(linkage.regs, win.block_in, pd.slot_span);
-  }
-  const MachineModel& model = machine().model();
-  SimDuration charge = 0;
-  for (const ParamDesc& p : def.params) {
-    if (!p.is_in()) {
-      continue;
-    }
-    charge += model.lrpc_copy_per_arg +
-              Micros(model.lrpc_copy_per_byte_us * static_cast<double>(p.size));
-    cs.copies.Count(CopyOp::kA, p.size);
-    cs.astack_bytes += p.size;
-  }
-  if (charge > 0) {
-    cpu.Charge(CostCategory::kArgumentCopy, charge);
-  }
-}
-
-// Inline-path copy F: the register window comes back to the caller's block
-// in one move; the stub scatters results from their slot offsets.
-void LrpcRuntime::UnmarshalInline(Processor& cpu, const ProcedureDef& def,
-                                  const ProcedureDescriptor& pd,
-                                  LinkageRecord& linkage,
-                                  const InlineWindow& win, CallStats& cs) {
-  if (pd.slot_span > 0) {
+  } else if (pd.slot_span > 0) {
     std::memcpy(win.block_out, linkage.regs, pd.slot_span);
   }
   const MachineModel& model = machine().model();
   SimDuration charge = 0;
-  for (const ParamDesc& p : def.params) {
-    if (!p.is_out()) {
+  for (const ParamDesc& p : pd.def->params) {
+    if (to_server ? !p.is_in() : !p.is_out()) {
       continue;
     }
     charge += model.lrpc_copy_per_arg +
               Micros(model.lrpc_copy_per_byte_us * static_cast<double>(p.size));
-    cs.copies.Count(CopyOp::kF, p.size);
+    cs.copies.Count(to_server ? CopyOp::kA : CopyOp::kF, p.size);
     cs.astack_bytes += p.size;
   }
   if (charge > 0) {
@@ -234,11 +214,32 @@ void LrpcRuntime::UnmarshalInline(Processor& cpu, const ProcedureDef& def,
   }
 }
 
-Status LrpcRuntime::CallLocal(Processor& cpu, ThreadId thread_id,
-                              ClientBinding& binding, int procedure,
-                              std::span<const CallArg> args,
-                              std::span<const CallRet> rets, CallStats& cs,
-                              const InlineWindow* win) {
+// Flattened so the compiler inlines StubCall and KernelLeg here and
+// specializes the leg for its one-element span: without it the synchronous
+// path pays for the batch bookkeeping in host time (about 10% of the
+// benchmark's par-small-1 calls/s on a 4-core x86-64 host).
+[[gnu::flatten]] Status LrpcRuntime::CallLocal(
+    Processor& cpu, ThreadId thread_id, ClientBinding& binding, int procedure,
+    std::span<const CallArg> args, std::span<const CallRet> rets,
+    CallStats& cs, const InlineWindow* win) {
+  PendingCall call{.procedure = procedure, .win = win, .rets = rets};
+  Status status = StubCall(cpu, thread_id, binding, args, call);
+  if (call.remote && win == nullptr) {
+    return RemoteCall(cpu, thread_id, binding, procedure, args, rets, cs);
+  }
+  if (status.ok()) {
+    // A synchronous call is a kernel leg of one.
+    (void)KernelLeg(cpu, thread_id, binding, std::span<PendingCall>(&call, 1),
+                    /*deadline=*/0);
+    status = call.status;
+  }
+  cs = call.stats;
+  return status;
+}
+
+Status LrpcRuntime::StubCall(Processor& cpu, ThreadId thread_id,
+                             ClientBinding& binding,
+                             std::span<const CallArg> args, PendingCall& call) {
   const MachineModel& model = machine().model();
   Thread* t = kernel_.FindThread(thread_id);
   if (t == nullptr || t->state() == ThreadState::kDead) {
@@ -255,28 +256,23 @@ Status LrpcRuntime::CallLocal(Processor& cpu, ThreadId thread_id,
 
   // "Deciding whether a call is cross-domain or cross-machine is made at
   // the earliest possible moment — the first instruction of the stub"
-  // (Section 5.1).
+  // (Section 5.1). Only a synchronous general call has a wire path
+  // (CallLocal takes it); a register window or a ring slot cannot cross.
   if (binding.object().remote) {
-    if (win != nullptr) {
-      // CallInline re-expands remote windows before reaching here; a window
-      // on this branch means a caller skipped that (e.g. parallel inline on
-      // a remote binding, which the wire path cannot serve).
-      return Status(ErrorCode::kInvalidArgument,
-                    "inline path cannot cross machines");
-    }
-    return RemoteCall(cpu, thread_id, binding, procedure, args, rets, cs);
+    call.remote = true;
+    return Status(ErrorCode::kInvalidArgument,
+                  "inline and async calls cannot cross machines");
   }
 
   const Interface* iface = binding.interface_spec();
-  if (procedure < 0 || procedure >= iface->procedure_count()) {
+  if (call.procedure < 0 || call.procedure >= iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
-  const ProcedureDescriptor& pd = iface->pd(procedure);
-  const ProcedureDef& def = *pd.def;
+  const ProcedureDescriptor& pd = iface->pd(call.procedure);
+  call.pd = &pd;
   Domain* client = kernel_.FindDomain(binding.client());
   LRPC_CHECK(client != nullptr);
 
-  // --- Client stub (call half). ---
   // The stub cost outside the two queue critical sections; the queue ops
   // themselves are charged while the per-queue lock is held.
   const SimDuration stub_outside_locks =
@@ -293,352 +289,478 @@ Status LrpcRuntime::CallLocal(Processor& cpu, ThreadId thread_id,
   // overlay of the free list; every pop and push on this path goes through
   // it instead of the SimLock-guarded queue (docs/concurrency.md), and the
   // simulated queue is not even looked up.
-  FaultInjector* injector = kernel_.fault_injector();
-  ParFreeList* par_list = binding.par_queue(pd.astack_group);
-  AStackQueue* queue =
-      par_list == nullptr ? &binding.queue(pd.astack_group) : nullptr;
+  call.par_list = binding.par_queue(pd.astack_group);
+  call.queue =
+      call.par_list == nullptr ? &binding.queue(pd.astack_group) : nullptr;
   Result<AStackRef> astack_result =
-      FaultPointFires(injector, FaultKind::kAStackExhaustion)
+      FaultPointFires(kernel_.fault_injector(), FaultKind::kAStackExhaustion)
           ? Result<AStackRef>(
                 Status(ErrorCode::kAStacksExhausted, "fault injection: empty"))
-      : par_list != nullptr ? par_list->Pop(cpu, model.astack_queue_lock_hold)
-                            : queue->Pop(cpu, model.astack_queue_lock_hold);
+      : call.par_list != nullptr
+          ? call.par_list->Pop(cpu, model.astack_queue_lock_hold)
+          : call.queue->Pop(cpu, model.astack_queue_lock_hold);
   if (!astack_result.ok()) {
     // Growing mutates the binding's region list, which concurrent calls
     // read without a lock; parallel worlds provision a fixed set instead.
-    if (par_list != nullptr ||
+    if (call.par_list != nullptr ||
         binding.exhaustion_policy() != AStackExhaustionPolicy::kAllocateMore) {
       return astack_result.status();
     }
     LRPC_RETURN_IF_ERROR(GrowAStacks(cpu, binding, pd.astack_group));
-    astack_result = queue->Pop(cpu, model.astack_queue_lock_hold);
+    astack_result = call.queue->Pop(cpu, model.astack_queue_lock_hold);
     if (!astack_result.ok()) {
       return astack_result.status();
     }
   }
-  const AStackRef astack = *astack_result;
+  call.astack = *astack_result;
   // The pop transferred ownership of the A-stack/linkage pair to this
   // thread (the free list's release/acquire edge), so the linkage is
   // already writable here — the inline path fills its register window
   // before the trap, exactly where the general path fills the A-stack.
-  LinkageRecord& linkage = astack.linkage();
-  // Every exit below this point owns the A-stack and must hand it back
-  // through whichever free structure it came from.
-  auto requeue_astack = [&] {
-    if (par_list != nullptr) {
-      par_list->Push(cpu, astack, model.astack_queue_lock_hold);
-    } else {
-      queue->Push(cpu, astack, model.astack_queue_lock_hold);
-    }
-  };
-  if (astack.region->secondary()) {
-    cs.used_secondary_astack = true;
+  LinkageRecord& linkage = call.astack.linkage();
+  if (linkage.in_use) {
+    // Ensure no other thread is using this A-stack/linkage pair.
+    Requeue(cpu, call);
+    return Status(ErrorCode::kAStackInUse);
+  }
+  if (call.astack.region->secondary()) {
+    call.stats.used_secondary_astack = true;
   }
 
   // Push the arguments onto the A-stack (copy A; Modula2+ conventions with
   // a separate argument pointer make this directly usable by the server) —
   // or, on the inline path, move the caller's packed window into the
   // linkage record's registers with a single copy (Section 2.2).
-  std::vector<std::uint64_t> oob_used;
-  if (win != nullptr) {
-    MarshalInline(cpu, def, pd, linkage, *win, cs);
+  if (call.win != nullptr) {
+    CopyInline(cpu, pd, linkage, *call.win, call.stats, /*to_server=*/true);
   } else {
-    Status marshal =
-        MarshalArguments(cpu, client->id(), def, astack, args, &cs, &oob_used);
+    const Status marshal = MarshalArguments(cpu, client->id(), *pd.def,
+                                            call.astack, args, &call.stats,
+                                            &call.oob);
     if (!marshal.ok()) {
-      for (std::uint64_t index : oob_used) {
-        ReleaseOobSegment(index);
-      }
-      requeue_astack();
+      // Nothing is claimed yet: release the spilled segments and the
+      // A-stack, and announce no return.
+      Retire(cpu, nullptr, call, marshal, /*requeue=*/false);
+      Requeue(cpu, call);
       return marshal;
     }
   }
 
-  // Put the A-stack address, Binding Object and procedure identifier in
-  // registers and trap to the kernel.
+  // Claim the linkage and record the caller's return state. The kernel
+  // stamps and pushes it when the call enters the server. (An AsyncRing,
+  // whose claims outlive the stub, registers them with the thread's
+  // pending set so the invariant checker audits them meanwhile: I5.)
+  linkage.in_use = true;
+  linkage.caller_thread = thread_id;
+  linkage.caller_domain = client->id();
+  linkage.procedure = static_cast<std::uint32_t>(call.procedure);
+  linkage.return_address = 0x4000 + static_cast<std::uint64_t>(call.procedure);
+  linkage.saved_stack_pointer = t->user_sp();
+  return Status::Ok();
+}
+
+bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
+                            ClientBinding& binding,
+                            std::span<PendingCall> calls,
+                            SimDuration deadline) {
+  LRPC_CHECK(calls.size() <= kMaxLegCalls);
+  const MachineModel& model = machine().model();
+  Thread* t = kernel_.FindThread(thread_id);
+  if (t == nullptr || t->state() == ThreadState::kDead) {
+    // The thread died after its stub ran (an async ring's submit/flush
+    // gap). If the binding is still live the claims go back to the free
+    // lists; if the client domain terminated, the regions died with the
+    // binding and never rejoin a queue.
+    const bool live =
+        kernel_.bindings().CheckValidate(binding.object(), binding.client()).ok();
+    for (PendingCall& call : calls) {
+      Retire(cpu, t, call,
+             Status(ErrorCode::kNoSuchThread,
+                    "the thread died before its kernel leg"),
+             live);
+    }
+    return false;
+  }
+  FaultInjector* injector = kernel_.fault_injector();
+  Domain& client = kernel_.domain(binding.client());
+
+  // Put the A-stack addresses, Binding Object and procedure identifiers in
+  // registers and trap to the kernel — once for the whole leg.
   kernel_.ChargeTrap(cpu);
 
-  // --- Kernel, call leg: executed in the context of the client's thread. ---
-  cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_call);
-  kernel_.TouchPages(cpu, kernel_.kernel_page_base(), kKernelCallPages);
-
-  auto fail_in_kernel = [&](Status status) {
-    // The kernel rejects the call and returns to the stub.
-    kernel_.ChargeTrap(cpu);
-    requeue_astack();
-    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
-    return status;
-  };
-
-  // Verify the Binding and procedure identifier. In parallel mode the leg
-  // validates against the sharded mirror through the per-thread binding
-  // cache: a repeat call skips even the seqlock read until a table mutation
-  // bumps the generation (docs/fast_path.md).
+  // --- Kernel, call leg: executed in the context of the client's thread.
+  // Verify the Binding once. In parallel mode the leg validates against the
+  // sharded mirror through the per-thread binding cache: a repeat call
+  // skips even the seqlock read until a table mutation bumps the
+  // generation (docs/fast_path.md). ---
   Result<BindingRecord*> record_result =
       par_bindings_ != nullptr
           ? par_bindings_->ValidateCached(binding.object(), binding.client())
           : kernel_.bindings().Validate(binding.object(), binding.client());
-  if (!record_result.ok()) {
-    return fail_in_kernel(record_result.status());
-  }
-  BindingRecord* record = *record_result;
-  const auto* kernel_iface = static_cast<const Interface*>(record->pdl);
-  if (procedure >= kernel_iface->procedure_count()) {
-    return fail_in_kernel(Status(ErrorCode::kNoSuchProcedure));
-  }
-
-  // Verify the A-stack and locate the corresponding linkage. The primary
-  // region validates with a simple range check; secondary regions (later
-  // allocations) take slightly more time (Section 5.2).
-  bool region_of_binding = false;
-  for (const auto& region : record->regions) {
-    if (region.get() == astack.region) {
-      region_of_binding = true;
-      break;
+  BindingRecord* record = record_result.ok() ? *record_result : nullptr;
+  int entered = 0;
+  for (PendingCall& call : calls) {
+    cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_call);
+    kernel_.TouchPages(cpu, kernel_.kernel_page_base(), kKernelCallPages);
+    // A rejected call returns to its stub with its A-stack requeued.
+    if (record == nullptr) {
+      Retire(cpu, t, call, record_result.status(), /*requeue=*/true);
+      continue;
     }
+    if (call.procedure >=
+        static_cast<const Interface*>(record->pdl)->procedure_count()) {
+      Retire(cpu, t, call, Status(ErrorCode::kNoSuchProcedure), /*requeue=*/true);
+      continue;
+    }
+    // Verify the A-stack and locate the corresponding linkage. The primary
+    // region validates with a simple range check; secondary regions (later
+    // allocations) take slightly more time (Section 5.2).
+    bool region_of_binding = false;
+    for (const auto& region : record->regions) {
+      region_of_binding = region_of_binding || region.get() == call.astack.region;
+    }
+    if (!region_of_binding) {
+      Retire(cpu, t, call, Status(ErrorCode::kInvalidAStack, "A-stack not of this binding"),
+             /*requeue=*/true);
+      continue;
+    }
+    if (call.astack.region->secondary()) {
+      cpu.Charge(CostCategory::kKernelPath, model.lrpc_secondary_astack_check);
+    }
+    Result<int> validated_index =
+        call.astack.region->ValidateOffset(call.astack.offset());
+    if (!validated_index.ok() || *validated_index != call.astack.index) {
+      Retire(cpu, t, call, Status(ErrorCode::kInvalidAStack), /*requeue=*/true);
+      continue;
+    }
+    // Stamp the claimed linkage: from here it belongs to an accepted call.
+    LinkageRecord& linkage = call.astack.linkage();
+    linkage.valid = true;
+    linkage.seq = kernel_.NextLinkageSeq();
+    linkage.binding = record->id;
+    kernel_.NotifyEvent(KernelEventKind::kLinkageClaimed);
+    // Find an execution stack in the server's domain (lazy A-stack/E-stack
+    // association).
+    Domain& server = kernel_.domain(record->server);
+    Result<int> estack =
+        backend_ == RuntimeBackend::kParallelHost
+            ? kernel_.EnsureEStackParallel(server, call.astack, cpu.clock())
+            : kernel_.EnsureEStack(server, call.astack, cpu.clock());
+    if (!estack.ok()) {
+      Retire(cpu, t, call, estack.status(), /*requeue=*/true);
+      continue;
+    }
+    call.estack = *estack;
+    ++entered;
   }
-  if (!region_of_binding) {
-    return fail_in_kernel(
-        Status(ErrorCode::kInvalidAStack, "A-stack not of this binding"));
+  if (entered == 0) {
+    // Nothing survived validation: back to the stub through the return
+    // trap, with no domain transfer.
+    kernel_.ChargeTrap(cpu);
+    return true;
   }
-  if (astack.region->secondary()) {
-    cpu.Charge(CostCategory::kKernelPath, model.lrpc_secondary_astack_check);
-  }
-  Result<int> validated_index =
-      astack.region->ValidateOffset(astack.offset());
-  if (!validated_index.ok() || *validated_index != astack.index) {
-    return fail_in_kernel(Status(ErrorCode::kInvalidAStack));
-  }
-
-  // Ensure no other thread is currently using this A-stack/linkage pair,
-  // then record the caller's return state and push the linkage.
-  if (linkage.in_use) {
-    return fail_in_kernel(Status(ErrorCode::kAStackInUse));
-  }
-  linkage.valid = true;
-  linkage.in_use = true;
-  linkage.seq = kernel_.NextLinkageSeq();
-  linkage.caller_thread = thread_id;
-  linkage.caller_domain = client->id();
-  linkage.binding = record->id;
-  linkage.procedure = static_cast<std::uint32_t>(procedure);
-  linkage.return_address = 0x4000 + static_cast<std::uint64_t>(procedure);
-  linkage.saved_stack_pointer = t->user_sp();
-  t->PushLinkage(astack);
-  kernel_.NotifyEvent(KernelEventKind::kLinkageClaimed);
-
-  // Find an execution stack in the server's domain (lazy A-stack/E-stack
-  // association) and run the thread off it.
-  Domain& server = kernel_.domain(record->server);
-  Result<int> estack =
-      backend_ == RuntimeBackend::kParallelHost
-          ? kernel_.EnsureEStackParallel(server, astack, cpu.clock())
-          : kernel_.EnsureEStack(server, astack, cpu.clock());
-  if (!estack.ok()) {
-    t->PopLinkage();
-    linkage.in_use = false;
-    return fail_in_kernel(estack.status());
-  }
-  t->set_user_sp(0x80000000ULL + static_cast<std::uint64_t>(*estack) * 0x10000ULL);
 
   // Reload the virtual memory registers with the server domain's — or, on
   // a multiprocessor, exchange processors with one idling in the server's
   // context (Section 3.4).
+  Domain& server = kernel_.domain(record->server);
   const Kernel::TransferResult call_transfer =
       kernel_.EnterDomain(cpu, *t, server, /*allow_exchange=*/true);
-  cs.exchanged_on_call = call_transfer.exchanged;
 
-  // --- Server side: the kernel upcalls directly into the entry stub at the
-  // address in the PD; the E-stack is primed so the stub can branch to the
-  // procedure's first instruction (Section 3.3). ---
-  cpu.Charge(CostCategory::kServerStub, model.lrpc_server_stub);
-  kernel_.TouchPages(cpu, server.page_base(), kServerPages);
-
-  // Multi-process backend (docs/multiprocess.md): the marshaled window
-  // crosses into the server's real process over the shared channel instead
-  // of branching into the handler here. Calls the channel cannot carry
-  // (out-of-band segments, oversized A-stacks) execute in-process as on the
-  // other backends. A death status from the transport runs the §5.3
-  // collector against the real corpse further down.
-  bool peer_pre_death = false;   // Died before accepting: handler never ran.
-  bool peer_mid_death = false;   // Died after accepting: handler may have run.
-  bool proc_executed = false;
-  Status server_status = Status::Ok();
+  // Multi-process backend (docs/multiprocess.md): the marshaled windows
+  // cross into the server's real process over the shared channel — one
+  // doorbell for the whole leg — instead of branching into the handler
+  // here. Calls the channel cannot carry (out-of-band segments, oversized
+  // A-stacks) execute in-process as on the other backends.
   if (backend_ == RuntimeBackend::kMultiProcess && proc_ != nullptr &&
-      proc_->Serves(record->server) && oob_used.empty()) {
-    std::uint8_t* window = win != nullptr
-        ? linkage.regs
-        : astack.region->segment().DataUnchecked() + astack.offset();
-    const std::size_t window_len =
-        win != nullptr ? pd.slot_span : pd.astack_size;
-    if (window_len <= proc_->payload_capacity()) {
-      ProcTransport::KillPhase kill = ProcTransport::KillPhase::kNone;
-      if (FaultPointFires(injector, FaultKind::kPeerProcessDeath)) {
-        // The phase cycles with the per-kind hit counter, so a seeded
-        // schedule replays the same kill at the same protocol point.
-        switch (injector->hits(FaultKind::kPeerProcessDeath) % 3) {
-          case 0: kill = ProcTransport::KillPhase::kBeforeAccept; break;
-          case 1: kill = ProcTransport::KillPhase::kInServerBody; break;
-          default: kill = ProcTransport::KillPhase::kAfterReturn; break;
-        }
+      proc_->Serves(record->server)) {
+    PendingCall* routed[kMaxLegCalls];
+    std::size_t n = 0;
+    for (PendingCall& call : calls) {
+      const std::size_t len =
+          call.win != nullptr ? call.pd->slot_span : call.pd->astack_size;
+      if (call.done || !call.oob.empty() || len > proc_->payload_capacity()) {
+        continue;
       }
-      const Status leg =
-          proc_->Execute(record->server, client->id(), procedure,
-                         win != nullptr, window, window_len, &server_status,
-                         kill);
-      proc_executed = true;
-      if (leg.code() == ErrorCode::kPeerDied) {
-        peer_pre_death = true;
-      } else if (!leg.ok()) {
-        peer_mid_death = true;
+      std::uint8_t* window = call.win != nullptr
+                                 ? call.astack.linkage().regs
+                                 : call.astack.region->segment().DataUnchecked() +
+                                       call.astack.offset();
+      call.proc = {call.procedure, call.win != nullptr, window, len};
+      call.routed = true;
+      routed[n++] = &call;
+    }
+    ProcTransport::KillPhase kill = ProcTransport::KillPhase::kNone;
+    if (n > 0 && FaultPointFires(injector, FaultKind::kPeerProcessDeath)) {
+      // The phase cycles with the per-kind hit counter, so a seeded
+      // schedule replays the same kill at the same protocol point.
+      switch (injector->hits(FaultKind::kPeerProcessDeath) % 3) {
+        case 0: kill = ProcTransport::KillPhase::kBeforeAccept; break;
+        case 1: kill = ProcTransport::KillPhase::kInServerBody; break;
+        default: kill = ProcTransport::KillPhase::kAfterReturn; break;
+      }
+    }
+    if (n == 1) {
+      ProcTransport::BatchCall& one = routed[0]->proc;
+      one.leg = proc_->Execute(record->server, client.id(), one.procedure,
+                               one.inline_window, one.window, one.window_len,
+                               &one.handler_status, kill);
+    } else if (n > 1) {
+      ProcTransport::BatchCall batch[kMaxLegCalls];
+      for (std::size_t i = 0; i < n; ++i) {
+        batch[i] = routed[i]->proc;
+      }
+      (void)proc_->ExecuteBatch(record->server, client.id(),
+                                std::span<ProcTransport::BatchCall>(batch, n),
+                                kill);
+      for (std::size_t i = 0; i < n; ++i) {
+        routed[i]->proc = batch[i];
       }
     }
   }
-  if (!proc_executed) {
-    ServerFrame frame(this, cpu, def, astack, server.id(), client->id(),
-                      thread_id, &cs.copies);
-    if (win != nullptr) {
-      // Inline path: the frame serves the handler straight from the linkage
-      // record's register window; no A-stack slot decoding, no segment
-      // rights checks.
-      frame.AttachRegisterWindow(linkage.regs);
+
+  // --- Server side, one call at a time: the kernel upcalls into the entry
+  // stub at the address in the PD; the E-stack is primed so the stub can
+  // branch to the procedure's first instruction (Section 3.3). Each call's
+  // linkage is on the thread's stack only while it executes, so the
+  // collector, the captured-thread escape and the watchdog see exactly one
+  // call. ---
+  bool lost = false;     // The thread died (captured, or nowhere to unwind).
+  bool unwound = false;  // The collector restarted the thread in a caller.
+  bool peer_death_seen = false;
+  for (PendingCall& call : calls) {
+    if (call.done) {
+      continue;
     }
-    server_status = frame.PrepareArguments();
-    if (server_status.ok() && def.handler) {
-      server_status = def.handler(frame);
+    if (lost) {
+      // Nothing can execute on a dead thread. A capture leaves the binding
+      // intact (requeue); a revocation means the regions died with it.
+      Retire(cpu, t, call,
+             Status(ErrorCode::kCallAborted, "ring thread was abandoned mid-batch"),
+             kernel_.bindings()
+                 .CheckValidate(binding.object(), binding.client())
+                 .ok());
+      continue;
     }
-  }
-  cs.server_status = server_status;
-
-  if (peer_pre_death || peer_mid_death) {
-    // The real server process is a corpse: revoke its bindings, unwind the
-    // visiting thread and reclaim its segments — the same collector the
-    // simulated terminations run, now with a reaped child behind it.
-    (void)TerminateDomain(record->server);
-    kernel_.NotifyEvent(KernelEventKind::kPeerDeath);
-  }
-
-  // Injected Section 5.3 emergencies, landing while the thread is still in
-  // the server: the server domain terminates mid-call, or the client gives
-  // up on its captured thread. Both run the real kernel recovery paths.
-  if (FaultPointFires(injector, FaultKind::kDomainTermination)) {
-    (void)TerminateDomain(record->server);
-  } else if (FaultPointFires(injector, FaultKind::kThreadCapture)) {
-    (void)kernel_.AbandonCapturedCall(*t);
-  }
-
-  // --- Return: back through the server stub's trap. Binding Object,
-  // procedure identifier and A-stack were verified at call time; the
-  // linkage at the top of the thread's stack makes them implicit now. ---
-  kernel_.ChargeTrap(cpu);
-  cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_return);
-  kernel_.TouchPages(cpu, kernel_.kernel_page_base() + kKernelReturnPageOffset,
-                     kKernelReturnPages);
-
-  // The call watchdog (supervision layer): a call past its armed deadline is
-  // abandoned here through the captured-thread escape, so the captured
-  // branch below runs its normal cleanup. With no watchdog ever armed this
-  // is a null check on an empty table.
-  kernel_.PollCallWatchdog(cpu, *t);
-
-  if (t->captured()) {
-    // The client abandoned this call (Section 5.3): the captured thread is
-    // destroyed in the kernel when released. Its A-stack returns to the
-    // free queue; the replacement thread already carries call-aborted.
-    if (t->HasLinkages() && t->linkage_stack().back() == astack) {
-      t->PopLinkage();
+    if (unwound) {
+      // The server terminated under an earlier call: the collector revoked
+      // the binding, so these A-stacks never rejoin a free list. Calls the
+      // server process finished before dying keep their real results.
+      Status status(ErrorCode::kCallFailed, "server domain terminated");
+      if (call.routed && call.proc.leg.ok()) {
+        call.stats.server_status = call.proc.handler_status;
+        status = call.stats.server_status.ok()
+                     ? CopyOut(cpu, client.id(), call)
+                     : call.stats.server_status;
+      } else if (call.routed &&
+                 call.proc.leg.code() == ErrorCode::kPeerDied) {
+        status = call.proc.leg;  // Never accepted: retryable.
+      }
+      Retire(cpu, t, call, status, /*requeue=*/false);
+      continue;
     }
-    linkage.in_use = false;
-    requeue_astack();
-    kernel_.DestroyThread(*t);
-    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
-    return Status(ErrorCode::kCallAborted, "thread was abandoned by its client");
-  }
 
-  if (!t->HasLinkages() || !(t->linkage_stack().back() == astack)) {
-    // The termination collector unwound this thread while the procedure ran
-    // (e.g. the server domain terminated itself): the thread is already
-    // back in a caller domain carrying an exception. Restore the processor
-    // context to wherever the thread now is.
-    Domain* resumed_in = kernel_.FindDomain(t->current_domain());
-    if (resumed_in != nullptr) {
-      kernel_.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
+    LinkageRecord& linkage = call.astack.linkage();
+    cpu.Charge(CostCategory::kServerStub, model.lrpc_server_stub);
+    kernel_.TouchPages(cpu, server.page_base(), kServerPages);
+    t->UnregisterAsyncPending(call.astack);
+    t->PushLinkage(call.astack);
+    t->set_user_sp(0x80000000ULL +
+                   static_cast<std::uint64_t>(call.estack) * 0x10000ULL);
+    call.stats.exchanged_on_call = call_transfer.exchanged;
+    if (deadline > 0) {
+      kernel_.ArmCallWatchdog(thread_id, cpu.clock() + deadline);
     }
-    const ThreadException exc = t->TakeException();
-    if (exc == ThreadException::kCallAborted) {
-      return Status(ErrorCode::kCallAborted);
+    if (call.routed) {
+      call.stats.server_status = call.proc.handler_status;
+    } else {
+      ServerFrame frame(this, cpu, *call.pd->def, call.astack, server.id(),
+                        client.id(), thread_id, &call.stats.copies);
+      if (call.win != nullptr) {
+        // Inline path: the frame serves the handler straight from the
+        // linkage record's register window; no A-stack slot decoding, no
+        // segment rights checks.
+        frame.AttachRegisterWindow(linkage.regs);
+      }
+      call.stats.server_status = frame.Dispatch();
     }
-    if (peer_pre_death) {
-      // The server process died before it accepted the call: the handler
-      // never ran, so the failure is retryable (docs/multiprocess.md).
-      return Status(ErrorCode::kPeerDied,
-                    "server process died before accepting the call");
+    const bool peer_pre_death =
+        call.routed && call.proc.leg.code() == ErrorCode::kPeerDied;
+    if (call.routed && !call.proc.leg.ok()) {
+      // The real server process is a corpse: revoke its bindings, unwind
+      // the visiting thread and reclaim its segments — the same collector
+      // the simulated terminations run, now with a reaped child behind it.
+      (void)TerminateDomain(record->server);
+      if (!peer_death_seen) {
+        kernel_.NotifyEvent(KernelEventKind::kPeerDeath);
+        peer_death_seen = true;
+      }
     }
-    return Status(ErrorCode::kCallFailed, "server domain terminated");
-  }
 
-  t->PopLinkage();
-  const bool linkage_was_valid = linkage.valid;
-  t->set_user_sp(linkage.saved_stack_pointer);
-  astack.region->set_last_used(astack.index, cpu.clock());
+    // Injected Section 5.3 emergencies, landing while the thread is still
+    // in the server: the server domain terminates mid-call, or the client
+    // gives up on its captured thread. Both run the real recovery paths.
+    if (FaultPointFires(injector, FaultKind::kDomainTermination)) {
+      (void)TerminateDomain(record->server);
+    } else if (FaultPointFires(injector, FaultKind::kThreadCapture)) {
+      (void)kernel_.AbandonCapturedCall(*t);
+    }
 
-  if (!linkage_was_valid) {
-    linkage.in_use = false;
-    // A party to the binding terminated while the call was outstanding:
-    // returning control would enter a dead domain. Deliver call-failed to
-    // the first valid linkage down the stack (Section 5.3).
-    if (kernel_.UnwindWithException(*t, ThreadException::kCallFailed)) {
+    // --- Return leg for this call. Binding Object, procedure identifier
+    // and A-stack were verified at call time; the linkage at the top of
+    // the thread's stack makes them implicit now. ---
+    cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_return);
+    kernel_.TouchPages(cpu, kernel_.kernel_page_base() + kKernelReturnPageOffset,
+                       kKernelReturnPages);
+    // The call watchdog (supervision layer): a call past its armed deadline
+    // is abandoned here through the captured-thread escape, so the captured
+    // branch below runs its normal cleanup. With no watchdog ever armed
+    // this is a null check on an empty table.
+    kernel_.PollCallWatchdog(cpu, *t);
+    if (deadline > 0) {
+      kernel_.DisarmCallWatchdog(thread_id);
+    }
+
+    if (t->captured()) {
+      // The client abandoned this call (Section 5.3): the captured thread
+      // is destroyed in the kernel when released. Its A-stack returns to
+      // the free queue; the replacement thread already carries
+      // call-aborted.
+      if (t->HasLinkages() && t->linkage_stack().back() == call.astack) {
+        t->PopLinkage();
+      }
+      Retire(cpu, nullptr, call,
+             Status(ErrorCode::kCallAborted,
+                    "thread was abandoned by its client"),
+             /*requeue=*/true);
+      kernel_.DestroyThread(*t);
+      lost = true;
+      continue;
+    }
+
+    if (!t->HasLinkages() || !(t->linkage_stack().back() == call.astack)) {
+      // The termination collector unwound this thread while the procedure
+      // ran (e.g. the server domain terminated itself): the thread is
+      // already back in a caller domain carrying an exception. Restore the
+      // processor context to wherever the thread now is.
       Domain* resumed_in = kernel_.FindDomain(t->current_domain());
       if (resumed_in != nullptr) {
         kernel_.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
       }
-      t->TakeException();
+      const ThreadException exc = t->TakeException();
+      call.status =
+          exc == ThreadException::kCallAborted ? Status(ErrorCode::kCallAborted)
+          // The server process died before it accepted the call: the
+          // handler never ran, so the failure is retryable.
+          : peer_pre_death ? Status(ErrorCode::kPeerDied,
+                                    "server process died before accepting "
+                                    "the call")
+                           : Status(ErrorCode::kCallFailed,
+                                    "server domain terminated");
+      call.done = true;
+      unwound = true;
+      continue;
     }
-    return Status(ErrorCode::kCallFailed, "binding revoked during call");
+
+    t->PopLinkage();
+    t->set_user_sp(linkage.saved_stack_pointer);
+    call.astack.region->set_last_used(call.astack.index, cpu.clock());
+    if (!linkage.valid) {
+      // A party to the binding terminated while the call was outstanding:
+      // returning control would enter a dead domain. Deliver call-failed to
+      // the first valid linkage down the stack (Section 5.3).
+      linkage.in_use = false;
+      call.status = Status(ErrorCode::kCallFailed, "binding revoked during call");
+      call.done = true;
+      if (kernel_.UnwindWithException(*t, ThreadException::kCallFailed)) {
+        Domain* resumed_in = kernel_.FindDomain(t->current_domain());
+        if (resumed_in != nullptr) {
+          kernel_.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
+        }
+        t->TakeException();
+        unwound = true;
+      } else {
+        lost = true;
+      }
+    }
   }
 
-  // Switch (or exchange) back into the client; likely exchangeable for
-  // calls that return quickly (Section 3.4).
-  const Kernel::TransferResult return_transfer =
-      kernel_.EnterDomain(cpu, *t, *client, /*allow_exchange=*/true);
-  cs.exchanged_on_return = return_transfer.exchanged;
+  // --- One return trap, then one switch (or exchange) back into the
+  // client; likely exchangeable for calls that return quickly (Section
+  // 3.4). A thread the collector moved elsewhere is already there. ---
+  kernel_.ChargeTrap(cpu);
+  bool exchanged_on_return = false;
+  if (!lost && !unwound) {
+    exchanged_on_return =
+        kernel_.EnterDomain(cpu, *t, client, /*allow_exchange=*/true).exchanged;
+  }
 
-  // --- Client stub (return half): copy the A-stack's return values into
-  // their final destinations (copy F) and requeue the A-stack. ---
-  kernel_.TouchPages(cpu, client->page_base(), kClientStubPages);
-  kernel_.TouchPages(cpu, client->page_base() + kClientAStackPageOffset, 1);
-
-  Status unmarshal = Status::Ok();
-  if (server_status.ok()) {
-    if (win != nullptr) {
-      UnmarshalInline(cpu, def, pd, linkage, *win, cs);
-    } else {
-      unmarshal = UnmarshalResults(cpu, client->id(), def, astack, rets, &cs);
+  // --- Client stub (return half), per returned call: copy the A-stack's
+  // return values into their final destinations (copy F) and requeue the
+  // A-stack. The A-stack stays claimed (in_use) across the return transfer
+  // and the copy; it leaves "claimed" only by rejoining the free queue. ---
+  for (PendingCall& call : calls) {
+    if (call.done) {
+      continue;
     }
+    kernel_.TouchPages(cpu, client.page_base(), kClientStubPages);
+    kernel_.TouchPages(cpu, client.page_base() + kClientAStackPageOffset, 1);
+    call.stats.exchanged_on_return = exchanged_on_return;
+    const Status& server_status = call.stats.server_status;
+    Retire(cpu, nullptr, call,
+           server_status.ok() ? CopyOut(cpu, client.id(), call) : server_status,
+           /*requeue=*/true);
+    // After a processor exchange the calling thread runs on a processor
+    // whose cache is cold for the A-stack and client pages; the penalty
+    // scales with the bytes moved through the A-stack (see MachineModel
+    // calibration).
+    if ((call.stats.exchanged_on_call || call.stats.exchanged_on_return) &&
+        call.stats.astack_bytes > 0) {
+      cpu.Charge(CostCategory::kProcessorExchange,
+                 Micros(model.exchange_cold_per_byte_us *
+                        static_cast<double>(call.stats.astack_bytes)));
+    }
+  }
+  return !lost;
+}
+
+void LrpcRuntime::Retire(Processor& cpu, Thread* pending_of, PendingCall& call,
+                         Status status, bool requeue) {
+  call.status = status;
+  call.done = true;
+  if (pending_of != nullptr) {
+    pending_of->UnregisterAsyncPending(call.astack);
   }
   // Out-of-band transfer segments are per-call; return them for reuse.
-  for (std::uint64_t index : oob_used) {
+  for (std::uint64_t index : call.oob) {
     ReleaseOobSegment(index);
   }
-  // The A-stack stays claimed (in_use) across the return transfer and the
-  // unmarshal; it leaves "claimed" only by rejoining the free queue.
-  linkage.in_use = false;
-  requeue_astack();
-  kernel_.NotifyEvent(KernelEventKind::kCallReturned);
-
-  // After a processor exchange the calling thread runs on a processor whose
-  // cache is cold for the A-stack and client pages; the penalty scales with
-  // the bytes moved through the A-stack (see MachineModel calibration).
-  if ((cs.exchanged_on_call || cs.exchanged_on_return) && cs.astack_bytes > 0) {
-    cpu.Charge(CostCategory::kProcessorExchange,
-               Micros(model.exchange_cold_per_byte_us *
-                      static_cast<double>(cs.astack_bytes)));
+  call.oob.clear();
+  call.astack.linkage().in_use = false;
+  if (requeue) {
+    Requeue(cpu, call);
+    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
   }
+}
 
-  if (!server_status.ok()) {
-    return server_status;
+void LrpcRuntime::Requeue(Processor& cpu, const PendingCall& call) {
+  const SimDuration hold = machine().model().astack_queue_lock_hold;
+  if (call.par_list != nullptr) {
+    call.par_list->Push(cpu, call.astack, hold);
+  } else {
+    call.queue->Push(cpu, call.astack, hold);
   }
-  return unmarshal;
+}
+
+Status LrpcRuntime::CopyOut(Processor& cpu, DomainId client,
+                            PendingCall& call) {
+  if (call.win == nullptr) {
+    return UnmarshalResults(cpu, client, *call.pd->def, call.astack, call.rets,
+                            &call.stats);
+  }
+  CopyInline(cpu, *call.pd, call.astack.linkage(), *call.win, call.stats,
+             /*to_server=*/false);
+  return Status::Ok();
 }
 
 LRPC_FAST_PATH_END("lrpc call/return");
@@ -662,7 +784,6 @@ Status LrpcRuntime::RemoteCall(Processor& cpu, ThreadId thread_id,
   }
   BindingRecord* record = *record_result;
   Domain* server_domain = kernel_.FindDomain(record->server);
-  Domain* client_domain = kernel_.FindDomain(binding.client());
   if (server_domain == nullptr || !server_domain->alive()) {
     return Status(ErrorCode::kRemoteUnreachable, "remote server domain gone");
   }
@@ -673,12 +794,10 @@ Status LrpcRuntime::RemoteCall(Processor& cpu, ThreadId thread_id,
   cpu.Charge(CostCategory::kMsgBufferMgmt, model.msg_buffer_mgmt);
   kernel_.ChargeTrap(cpu);
 
+  // Client-side copies: stub stack -> message (A), client -> kernel (B).
   std::uint64_t bytes_out = 0;
   for (const CallArg& a : args) {
     bytes_out += a.len;
-  }
-  // Client-side copies: stub stack -> message (A), client -> kernel (B).
-  for (const CallArg& a : args) {
     cpu.Charge(CostCategory::kArgumentCopy,
                2 * (model.msg_copy_setup +
                     Micros(model.msg_copy_per_byte_us * static_cast<double>(a.len))));
@@ -708,10 +827,7 @@ Status LrpcRuntime::RemoteCall(Processor& cpu, ThreadId thread_id,
 
   ServerFrame frame(this, cpu, def, scratch_ref, record->server,
                     binding.client(), thread_id, &cs.copies);
-  Status server_status = frame.PrepareArguments();
-  if (server_status.ok() && def.handler) {
-    server_status = def.handler(frame);
-  }
+  const Status server_status = frame.Dispatch();
   cs.server_status = server_status;
 
   // Reply: results ride a message back (B', C'), then into the caller's
@@ -735,8 +851,6 @@ Status LrpcRuntime::RemoteCall(Processor& cpu, ThreadId thread_id,
   }
   model.network.ChargeOneWay(cpu, bytes_back);  // The reply's packets.
   kernel_.ChargeTrap(cpu);
-
-  (void)client_domain;
   return server_status;
 }
 

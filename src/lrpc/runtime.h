@@ -34,6 +34,7 @@
 #include "src/lrpc/client_binding.h"
 #include "src/lrpc/copy_stats.h"
 #include "src/lrpc/interface.h"
+#include "src/lrpc/proc_transport.h"
 #include "src/nameserver/name_server.h"
 
 namespace lrpc {
@@ -95,8 +96,6 @@ enum class RuntimeBackend : std::uint8_t {
   // and peer death is a first-class protocol event (docs/multiprocess.md).
   kMultiProcess,
 };
-
-class ProcTransport;
 
 class LrpcRuntime {
  public:
@@ -222,10 +221,13 @@ class LrpcRuntime {
 
  private:
   friend class ServerFrame;
-  // The async ring (src/lrpc/async_call.h) is the pipelined twin of
-  // CallLocal: its submit/flush legs reuse the marshal helpers and the
-  // backend routing below.
+  // The async ring (src/lrpc/async_call.h) drives the same two phases as
+  // CallLocal: its Submit is StubCall into a slot, its Flush is KernelLeg
+  // over the pending slots.
   friend class AsyncRing;
+
+  // The most calls one kernel leg carries (an AsyncRing's depth ceiling).
+  static constexpr int kMaxLegCalls = 16;
 
   // Grows a binding's A-stack supply with a secondary region (Section 5.2).
   Status GrowAStacks(Processor& cpu, ClientBinding& binding, int group);
@@ -237,13 +239,63 @@ class LrpcRuntime {
     std::byte* block_out = nullptr;
   };
 
-  // The local fast path (Section 3.2); Call() wraps it for accounting.
-  // When `win` is non-null the call marshals through the linkage record's
-  // register window instead of the A-stack (docs/fast_path.md).
+  // One call between its client stub and its copy-out, built fresh for
+  // each call: the caller sets `procedure`, `win` and `rets`; StubCall and
+  // KernelLeg fill in the rest.
+  struct PendingCall {
+    int procedure = -1;
+    const InlineWindow* win = nullptr;  // Inline path (docs/fast_path.md).
+    std::span<const CallRet> rets;
+    const ProcedureDescriptor* pd = nullptr;
+    AStackRef astack;
+    ParFreeList* par_list = nullptr;  // The free list the A-stack came from:
+    AStackQueue* queue = nullptr;     // exactly one of the two is set.
+    std::vector<std::uint64_t> oob;   // Out-of-band segments of this call.
+    CallStats stats;
+    Status status;
+    int estack = -1;
+    bool remote = false;  // The binding carries the remote bit (Section 5.1).
+    bool done = false;    // `status` is final and the A-stack released.
+    bool routed = false;  // Executed by the ProcTransport, as `proc`.
+    ProcTransport::BatchCall proc;
+  };
+
+  // The local fast path (Section 3.2): StubCall then a one-call KernelLeg;
+  // Call() wraps it for accounting. When `win` is non-null the call
+  // marshals through the linkage record's register window instead of the
+  // A-stack (docs/fast_path.md).
   Status CallLocal(Processor& cpu, ThreadId thread, ClientBinding& binding,
                    int procedure, std::span<const CallArg> args,
                    std::span<const CallRet> rets, CallStats& stats,
                    const InlineWindow* win = nullptr);
+
+  // The client stub's call half: caller checks, the A-stack pop (with
+  // Section 5.2 growth), the marshal (copy A, or the inline window) and
+  // the linkage claim — in_use, caller recorded. On failure nothing stays
+  // claimed.
+  Status StubCall(Processor& cpu, ThreadId thread, ClientBinding& binding,
+                  std::span<const CallArg> args, PendingCall& call);
+
+  // The kernel's call and return legs for `calls`, all claimed by StubCall
+  // on `thread` against `binding`: one trap pair and one domain-transfer
+  // pair for the whole span, with per-call validation, E-stack
+  // association, server execution and copy-out. Every call comes back
+  // done. A non-zero `deadline` arms the call watchdog around each server
+  // execution. Returns false when the thread did not survive the leg.
+  bool KernelLeg(Processor& cpu, ThreadId thread, ClientBinding& binding,
+                 std::span<PendingCall> calls, SimDuration deadline);
+
+  // Finishes `call` with `status`: releases its out-of-band segments and
+  // its claim (dropping it from `pending_of`'s pending set when given).
+  // `requeue` hands the A-stack back to its free list and announces
+  // CallReturned; an A-stack of a revoked binding never rejoins a free
+  // list.
+  void Retire(Processor& cpu, Thread* pending_of, PendingCall& call,
+              Status status, bool requeue);
+  // Pushes the call's A-stack back onto the free list it came from.
+  void Requeue(Processor& cpu, const PendingCall& call);
+  // The client stub's copy F: results into the caller's destinations.
+  Status CopyOut(Processor& cpu, DomainId client, PendingCall& call);
 
   // Shared tail of Call and CallInline: runs CallLocal, records the trace
   // event and folds the per-call stats into the runtime-wide counters.
@@ -252,15 +304,13 @@ class LrpcRuntime {
                        std::span<const CallRet> rets, CallStats* stats,
                        const InlineWindow* win);
 
-  // Inline-path marshaling: one copy between the caller's window and the
-  // linkage record's register window; model charges and copy statistics
-  // match the general path's per-argument totals.
-  void MarshalInline(Processor& cpu, const ProcedureDef& def,
-                     const ProcedureDescriptor& pd, LinkageRecord& linkage,
-                     const InlineWindow& win, CallStats& cs);
-  void UnmarshalInline(Processor& cpu, const ProcedureDef& def,
-                       const ProcedureDescriptor& pd, LinkageRecord& linkage,
-                       const InlineWindow& win, CallStats& cs);
+  // The inline path's copy A (`to_server`) or F: one copy between the
+  // caller's window and the linkage record's register window; model
+  // charges and copy statistics match the general path's per-argument
+  // totals.
+  void CopyInline(Processor& cpu, const ProcedureDescriptor& pd,
+                  LinkageRecord& linkage, const InlineWindow& win,
+                  CallStats& cs, bool to_server);
 
   // The cross-machine branch taken by the first stub instruction when the
   // Binding Object carries the remote bit (Section 5.1).

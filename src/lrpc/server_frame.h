@@ -48,6 +48,12 @@ class ServerFrame {
   // into the server), pass `already_private` to skip the E copies while
   // still running the folded type checks.
   Status PrepareArguments(bool already_private = false);
+  // The whole entry stub: PrepareArguments, then the procedure's handler
+  // when the arguments check out. Returns the handler's own Status.
+  Status Dispatch(bool already_private = false) {
+    const Status prepared = PrepareArguments(already_private);
+    return prepared.ok() && def_.handler ? def_.handler(*this) : prepared;
+  }
 
   // Register-window mode (docs/fast_path.md): inline-path calls attach the
   // linkage record's register window before PrepareArguments, and the frame

@@ -27,6 +27,8 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "src/common/status.h"
+
 namespace lrpc {
 
 // Largest argument/result window the channel carries. Calls that need more
@@ -61,6 +63,19 @@ struct ProcBatchEntry {
   std::atomic<std::uint32_t> done{0};
   std::uint8_t payload[kProcBatchEntryBytes] = {};
 };
+
+// The handler status a server process wrote into a channel word, decoded
+// on the client side. The word is hostile input: a value outside the
+// ErrorCode range — [kOk, kAsyncQueueFull], the last enumerator — is a
+// protocol violation and reads as kCallFailed, never as a narrowed code
+// (256 would otherwise narrow to kOk).
+inline Status DecodeHandlerCode(std::int32_t code) {
+  if (code < 0 || code > static_cast<std::int32_t>(ErrorCode::kAsyncQueueFull)) {
+    return Status(ErrorCode::kCallFailed,
+                  "server process wrote an out-of-range handler status");
+  }
+  return Status(static_cast<ErrorCode>(code));
+}
 
 struct ProcChannel {
   std::atomic<std::uint32_t> call_seq{0};

@@ -271,7 +271,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
         ProcBatchEntry& entry = ch->batch[i];
         const Status handler_status = ChildRunHandler(
             self, cpu, entry.procedure, entry.inline_window != 0,
-            entry.payload, entry.payload_len);
+            entry.payload, entry.payload_len, sizeof(entry.payload));
         entry.handler_code = static_cast<std::int32_t>(handler_status.code());
         entry.done.store(1, std::memory_order_release);
       }
@@ -291,7 +291,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
     const Status handler_status = ChildRunHandler(
         self, cpu, ch->procedure, ch->inline_window != 0, ch->payload,
-        ch->payload_len);
+        ch->payload_len, sizeof(ch->payload));
 
     ch->handler_code = static_cast<std::int32_t>(handler_status.code());
     handled = seen;
@@ -307,7 +307,8 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
 Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
                                  int procedure, bool inline_window,
-                                 std::uint8_t* payload, std::size_t len) {
+                                 std::uint8_t* payload, std::size_t len,
+                                 std::size_t capacity) {
   if (procedure < 0 || procedure >= self.iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
@@ -319,6 +320,15 @@ Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
   // serves arguments straight from the payload instead.
   const std::size_t scratch_size =
       pd.astack_size > 0 ? pd.astack_size : kLinkageRegsSize;
+  // `len` and the window mode are read from shared memory, so a hostile
+  // client may aim any window at any procedure: the window must fit the
+  // payload it was read from and the region it is served from.
+  if (len > capacity ||
+      len > (inline_window ? kLinkageRegsSize : scratch_size) ||
+      (inline_window && !pd.inline_eligible)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "argument window does not fit the procedure");
+  }
   AStackRegion scratch(client, self.domain, scratch_size, 1, false);
   const AStackRef ref{&scratch, 0};
   ServerFrame frame(nullptr, cpu, def, ref, self.domain, client, caller,
@@ -328,10 +338,7 @@ Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
   } else if (len > 0) {
     std::memcpy(scratch.segment().DataUnchecked(), payload, len);
   }
-  Status handler_status = frame.PrepareArguments();
-  if (handler_status.ok() && def.handler) {
-    handler_status = def.handler(frame);
-  }
+  const Status handler_status = frame.Dispatch();
   if (!inline_window && len > 0) {
     std::memcpy(payload, scratch.segment().DataUnchecked(), len);
   }
@@ -398,7 +405,7 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
       if (window_len > 0) {
         std::memcpy(window, ch->payload, window_len);
       }
-      *handler_status = Status(static_cast<ErrorCode>(ch->handler_code));
+      *handler_status = DecodeHandlerCode(ch->handler_code);
       if (kill_phase == KillPhase::kAfterReturn) {
         // The deliberate post-return death is synchronous (the child
         // SIGKILLed itself right after ringing); reap it now so the next
@@ -527,8 +534,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
           std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
         }
         calls[i].leg = Status::Ok();
-        calls[i].handler_status =
-            Status(static_cast<ErrorCode>(entry.handler_code));
+        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
       } else {
         calls[i].leg = Status(ErrorCode::kCallFailed, mid_detail);
       }
@@ -549,8 +555,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
           std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
         }
         calls[i].leg = Status::Ok();
-        calls[i].handler_status =
-            Status(static_cast<ErrorCode>(entry.handler_code));
+        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
       }
       if (kill_phase == KillPhase::kAfterReturn) {
         // Synchronous post-return death, reaped now (see Execute).

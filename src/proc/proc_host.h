@@ -112,11 +112,12 @@ class ProcHost : public ProcTransport {
 
   // Serve loop of the forked child; never returns.
   [[noreturn]] void ChildServe(Endpoint& self);
-  // One handler execution in the child, against `payload` as the argument
-  // window; shared by the single-call and batched serve paths.
+  // One handler execution in the child, against `payload` (`capacity`
+  // bytes of channel) as the argument window; shared by the single-call and
+  // batched serve paths. A window that does not fit is kInvalidArgument.
   Status ChildRunHandler(Endpoint& self, Processor& cpu, int procedure,
                          bool inline_window, std::uint8_t* payload,
-                         std::size_t len);
+                         std::size_t len, std::size_t capacity);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.
   void MarkDead(Endpoint& ep);

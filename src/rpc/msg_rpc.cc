@@ -344,10 +344,7 @@ Status MsgRpcSystem::Call(Processor& cpu, ThreadId thread_id,
   ServerFrame frame(nullptr, cpu, def, AStackRef{&scratch, 0},
                     server->domain(), binding.client, worker->id(),
                     &cs.copies);
-  Status server_status = frame.PrepareArguments(/*already_private=*/true);
-  if (server_status.ok() && def.handler) {
-    server_status = def.handler(frame);
-  }
+  const Status server_status = frame.Dispatch(/*already_private=*/true);
   cs.server_status = server_status;
 
   // --- Reply leg. ---

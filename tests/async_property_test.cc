@@ -213,6 +213,88 @@ TEST(AsyncProperty, AsyncEqualsSyncAcrossSeededSchedules) {
   }
 }
 
+TEST(AsyncProperty, DepthOneIsTickIdenticalToSync) {
+  // A synchronous call is a batch of one: a depth-1 ring doing Submit +
+  // Flush per call must cost exactly what Call costs — same clock, same
+  // per-category ledger, same TLB misses — and drive the kernel through
+  // the same event sequence, once the ring's own submit/complete events
+  // are set aside.
+  std::mt19937_64 rng(64);
+  std::vector<PlannedCall> plan(64);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    plan[i].kind = static_cast<int>(i % 4);
+    plan[i].a = static_cast<std::int32_t>(rng() % 1000);
+    plan[i].b = static_cast<std::int32_t>(rng() % 1000);
+    for (std::uint8_t& byte : plan[i].big) {
+      byte = static_cast<std::uint8_t>(rng());
+    }
+  }
+
+  Testbed sync_bed;
+  EventRecorder sync_events;
+  sync_bed.kernel().set_event_listener(&sync_events);
+  std::vector<Outcome> sync(plan.size());
+  Testbed async_bed;
+  EventRecorder async_events;
+  async_bed.kernel().set_event_listener(&async_events);
+  AsyncRing ring(async_bed.runtime(), async_bed.binding(),
+                 async_bed.client_thread(), 1);
+  std::vector<Outcome> async_outcomes(plan.size());
+
+  std::vector<CallArg> args;
+  std::vector<CallRet> rets;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    BindViews(plan[i], sync[i], args, rets);
+    sync[i].code =
+        sync_bed.runtime()
+            .Call(sync_bed.cpu(), sync_bed.client_thread(), sync_bed.binding(),
+                  ProcOf(plan[i], sync_bed.null_proc(), sync_bed.add_proc(),
+                         sync_bed.bigin_proc(), sync_bed.biginout_proc()),
+                  args, rets)
+            .code();
+
+    BindViews(plan[i], async_outcomes[i], args, rets);
+    Result<CallToken> token = ring.Submit(
+        async_bed.cpu(),
+        ProcOf(plan[i], async_bed.null_proc(), async_bed.add_proc(),
+               async_bed.bigin_proc(), async_bed.biginout_proc()),
+        args, rets);
+    ASSERT_TRUE(token.ok()) << "call " << i << ": " << token.status().detail();
+    ring.Flush(async_bed.cpu());
+    ASSERT_EQ(ring.Reap(), 1);
+    async_outcomes[i].code = ring.Find(*token)->status.code();
+    EXPECT_TRUE(async_outcomes[i] == sync[i]) << "call " << i;
+  }
+  sync_bed.kernel().set_event_listener(nullptr);
+  async_bed.kernel().set_event_listener(nullptr);
+
+  EXPECT_EQ(async_bed.cpu().clock(), sync_bed.cpu().clock());
+  for (int c = 0; c < static_cast<int>(CostCategory::kCategoryCount); ++c) {
+    const auto category = static_cast<CostCategory>(c);
+    EXPECT_EQ(async_bed.cpu().ledger().total(category),
+              sync_bed.cpu().ledger().total(category))
+        << CostCategoryName(category);
+  }
+  EXPECT_EQ(async_bed.cpu().tlb().miss_count(),
+            sync_bed.cpu().tlb().miss_count());
+
+  std::vector<KernelEventKind> core_events;
+  for (const KernelEventKind kind : async_events.events) {
+    if (kind != KernelEventKind::kAsyncSubmitted &&
+        kind != KernelEventKind::kAsyncCompleted) {
+      core_events.push_back(kind);
+    }
+  }
+  EXPECT_EQ(async_events.Count(KernelEventKind::kAsyncSubmitted), 64);
+  EXPECT_EQ(async_events.Count(KernelEventKind::kAsyncCompleted), 64);
+  ASSERT_EQ(core_events.size(), sync_events.events.size());
+  for (std::size_t i = 0; i < core_events.size(); ++i) {
+    ASSERT_EQ(core_events[i], sync_events.events[i])
+        << "event " << i << ": async=" << KernelEventKindName(core_events[i])
+        << " sync=" << KernelEventKindName(sync_events.events[i]);
+  }
+}
+
 TEST(AsyncProperty, AsyncEqualsSyncOnTheParallelBackend) {
   // One worker drives both worlds deterministically through the parallel
   // backend's structures: par free lists, the sharded binding mirror and

@@ -81,6 +81,51 @@ TEST(ProcBackendTest, BigInOutEchoesReversedThroughSharedMemory) {
             static_cast<std::uint64_t>(kBigSize));
 }
 
+// --- Every word in the shared channel is hostile input. ---
+
+TEST(ProcBackendTest, OversizedWindowIsRejectedAndTheServerSurvives) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  // A full-channel window aimed at Null, whose scratch A-stack is far
+  // smaller: the server must refuse it rather than copy past its region.
+  std::uint8_t window[kProcPayloadBytes] = {};
+  Status handler_status;
+  ASSERT_TRUE(world.host()
+                  .Execute(world.server_domain(), world.client_domain(),
+                           world.null_proc(), /*inline_window=*/false, window,
+                           sizeof(window), &handler_status,
+                           ProcTransport::KillPhase::kNone)
+                  .ok());
+  EXPECT_EQ(handler_status.code(), ErrorCode::kInvalidArgument);
+
+  // The same for a register window longer than the linkage registers.
+  handler_status = Status::Ok();
+  ASSERT_TRUE(world.host()
+                  .Execute(world.server_domain(), world.client_domain(),
+                           world.null_proc(), /*inline_window=*/true, window,
+                           kLinkageRegsSize + 1, &handler_status,
+                           ProcTransport::KillPhase::kNone)
+                  .ok());
+  EXPECT_EQ(handler_status.code(), ErrorCode::kInvalidArgument);
+
+  // The server process is still alive and serving.
+  EXPECT_TRUE(world.CallNull().ok());
+  EXPECT_TRUE(world.host().Serves(world.server_domain()));
+}
+
+TEST(ProcChannelTest, HandlerCodesOutsideTheErrorCodeRangeReadAsCallFailed) {
+  EXPECT_EQ(DecodeHandlerCode(0).code(), ErrorCode::kOk);
+  constexpr auto kLast = static_cast<std::int32_t>(ErrorCode::kAsyncQueueFull);
+  EXPECT_EQ(DecodeHandlerCode(kLast).code(), ErrorCode::kAsyncQueueFull);
+  for (const std::int32_t hostile : {kLast + 1, 256, -1}) {
+    const Status decoded = DecodeHandlerCode(hostile);
+    EXPECT_EQ(decoded.code(), ErrorCode::kCallFailed) << hostile;
+    EXPECT_FALSE(decoded.detail().empty()) << hostile;
+  }
+}
+
 TEST(ProcBackendTest, EachServerGetsItsOwnProcessAndChannel) {
   SKIP_WITHOUT_FORK();
   ProcWorld world(ProcWorld::Options{.servers = 3});
