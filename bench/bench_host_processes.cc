@@ -5,7 +5,7 @@
 // Three legs, all between genuinely separate address spaces:
 //
 //   doorbell    a bare ProcChannel in a ProcSegment behind FutexDoorbell:
-//               the client writes arguments into the shared payload, rings
+//               the client writes arguments into a shared window, rings
 //               call_seq, the forked server computes against the shared
 //               bytes and rings return_seq back. LRPC's "simple data
 //               transfer" reduced to its essentials.
@@ -119,7 +119,8 @@ Row Measure(const std::string& workload, const std::string& path,
 
 // --- The doorbell leg: a bare ProcChannel served by a forked child. ---
 
-// Payload layout for the raw Add: a at 0, b at 4, sum at 8.
+// The raw Add's window is the first batch entry's register window: a at 0,
+// b at 4, sum at 8.
 [[noreturn]] void ServeAdd(lrpc::ProcChannel* ch) {
   std::uint32_t handled = 0;
   for (;;) {
@@ -133,10 +134,11 @@ Row Measure(const std::string& workload, const std::string& path,
     }
     std::int32_t a = 0;
     std::int32_t b = 0;
-    std::memcpy(&a, ch->payload, sizeof(a));
-    std::memcpy(&b, ch->payload + 4, sizeof(b));
+    std::uint8_t* window = ch->batch[0].regs;
+    std::memcpy(&a, window, sizeof(a));
+    std::memcpy(&b, window + 4, sizeof(b));
     const std::int32_t sum = a + b;
-    std::memcpy(ch->payload + 8, &sum, sizeof(sum));
+    std::memcpy(window + 8, &sum, sizeof(sum));
     handled = seen;
     ch->return_seq.fetch_add(1, std::memory_order_release);
     lrpc::FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
@@ -165,8 +167,9 @@ struct DoorbellLeg {
   }
 
   bool CallAdd(std::int32_t a, std::int32_t b, std::int32_t* sum) {
-    std::memcpy(channel->payload, &a, sizeof(a));
-    std::memcpy(channel->payload + 4, &b, sizeof(b));
+    std::uint8_t* window = channel->batch[0].regs;
+    std::memcpy(window, &a, sizeof(a));
+    std::memcpy(window + 4, &b, sizeof(b));
     const std::uint32_t before =
         channel->return_seq.load(std::memory_order_acquire);
     channel->call_seq.fetch_add(1, std::memory_order_release);
@@ -178,7 +181,7 @@ struct DoorbellLeg {
                                            &channel->return_sleepers, before,
                                            50);
     }
-    std::memcpy(sum, channel->payload + 8, sizeof(*sum));
+    std::memcpy(sum, window + 8, sizeof(*sum));
     return true;
   }
 

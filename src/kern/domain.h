@@ -20,6 +20,8 @@
 
 namespace lrpc {
 
+class AStackArena;
+
 enum class DomainState : std::uint8_t {
   kAlive,
   kTerminating,  // Collector is running (Section 5.3).
@@ -61,6 +63,12 @@ class Domain {
   void AddThread(ThreadId t) { threads_.push_back(t); }
   const std::vector<ThreadId>& threads() const { return threads_; }
 
+  // Where the kernel carves this domain's server-side A-stack regions: a
+  // real shared mapping when a server process stands behind the domain
+  // (docs/multiprocess.md), else null and the heap.
+  AStackArena* astack_arena() const { return astack_arena_; }
+  void set_astack_arena(AStackArena* arena) { astack_arena_ = arena; }
+
  private:
   DomainId id_;
   VmContextId vm_context_;
@@ -69,6 +77,7 @@ class Domain {
   DomainState state_ = DomainState::kAlive;
   EStackPool estacks_;
   std::vector<ThreadId> threads_;
+  AStackArena* astack_arena_ = nullptr;
 };
 
 }  // namespace lrpc

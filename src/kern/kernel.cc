@@ -355,12 +355,29 @@ int Kernel::ReclaimEStacks(Domain& server, SimTime cutoff) {
 
 AStackRegion* Kernel::AllocateAStacks(BindingRecord& binding, std::size_t size,
                                       int count, bool secondary) {
-  binding.regions.push_back(std::make_unique<AStackRegion>(
-      binding.client, binding.server, size, count, secondary));
+  const Domain* server = FindDomain(binding.server);
+  AStackArena* arena = server != nullptr ? server->astack_arena() : nullptr;
+  std::unique_ptr<AStackRegion> carved =
+      arena != nullptr && arena->Hosts(size)
+          ? AStackRegion::InArena(*arena, binding.client, binding.server, size,
+                                  count, secondary)
+          : std::make_unique<AStackRegion>(binding.client, binding.server,
+                                           size, count, secondary);
+  if (carved == nullptr) {
+    return nullptr;
+  }
+  binding.regions.push_back(std::move(carved));
   AStackRegion* region = binding.regions.back().get();
   regions_.push_back(region);
   NotifyEvent(KernelEventKind::kRegionAllocated);
   return region;
+}
+
+void Kernel::ReleaseAStacks(BindingRecord& binding) {
+  for (const auto& region : binding.regions) {
+    std::erase(regions_, region.get());
+  }
+  binding.regions.clear();
 }
 
 Kernel::DomainMemory Kernel::DomainMemoryUsage(DomainId id) const {

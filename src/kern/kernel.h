@@ -186,9 +186,15 @@ class Kernel {
   // --- A-stack allocation (bind time; Section 3.1). ---
   // Allocates a contiguous region of `count` A-stacks of `size` bytes,
   // pair-wise shared between the binding's client and server. `secondary`
-  // marks post-bind-time growth (slower validation; Section 5.2).
+  // marks post-bind-time growth (slower validation; Section 5.2). The
+  // region is carved from the server's A-stack arena when it has one that
+  // hosts A-stacks of `size`; null when that arena is full (nothing is
+  // allocated then — the region never falls back to the heap).
   AStackRegion* AllocateAStacks(BindingRecord& binding, std::size_t size,
                                 int count, bool secondary);
+  // Frees every region of `binding` (an import that could not allocate
+  // them all), returning arena-carved bytes to their arena.
+  void ReleaseAStacks(BindingRecord& binding);
 
   // Registers a region with the kernel so the termination collector can
   // find it even though it is owned elsewhere. (AllocateAStacks does this

@@ -467,21 +467,23 @@ bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
   const Kernel::TransferResult call_transfer =
       kernel_.EnterDomain(cpu, *t, server, /*allow_exchange=*/true);
 
-  // Multi-process backend (docs/multiprocess.md): the marshaled windows
-  // cross into the server's real process over the shared channel — one
-  // doorbell for the whole leg — instead of branching into the handler
-  // here. Calls the channel cannot carry (out-of-band segments, oversized
-  // A-stacks) execute in-process as on the other backends.
+  // Multi-process backend (docs/multiprocess.md): the server's real process
+  // runs the calls straight off their A-stacks, which were carved from an
+  // arena it shares — one doorbell for the whole leg, no bytes moved —
+  // instead of this thread branching into the handler. A call whose
+  // A-stack is not arena-backed (oversized A-stacks) or that spilled
+  // out-of-band executes in-process as on the other backends.
   if (backend_ == RuntimeBackend::kMultiProcess && proc_ != nullptr &&
       proc_->Serves(record->server)) {
     PendingCall* routed[kMaxLegCalls];
     std::size_t n = 0;
     for (PendingCall& call : calls) {
-      const std::size_t len =
-          call.win != nullptr ? call.pd->slot_span : call.pd->astack_size;
-      if (call.done || !call.oob.empty() || len > proc_->payload_capacity()) {
+      if (call.done || !call.oob.empty() ||
+          call.astack.region->arena() == nullptr) {
         continue;
       }
+      const std::size_t len =
+          call.win != nullptr ? call.pd->slot_span : call.pd->astack_size;
       std::uint8_t* window = call.win != nullptr
                                  ? call.astack.linkage().regs
                                  : call.astack.region->segment().DataUnchecked() +

@@ -2,17 +2,19 @@
 // multi-process backend (docs/multiprocess.md).
 //
 // On RuntimeBackend::kMultiProcess the server-execution section of the fast
-// path hands the marshaled argument window to a ProcTransport instead of
+// path hands each call's A-stack window to a ProcTransport instead of
 // branching into the handler in-process. The transport owns the forked
-// server processes, the shared channel segments and the futex doorbells;
+// server processes, the shared segments the A-stacks are carved from (so
+// the server process works on the window in place) and the futex doorbells;
 // the runtime keeps owning binding validation, linkage bookkeeping and the
 // termination collector. The split mirrors FallbackTransport
 // (supervised_call.h): lrpc_core declares the abstract class, src/proc
 // implements it, and nothing in the core links against process plumbing.
 //
 // Execute()'s return value describes the transport leg, not the handler:
-//   kOk          the server process ran the handler; `window` holds the
-//                result bytes and *handler_status the handler's own Status.
+//   kOk          the server process ran the handler; the results are in
+//                `window` in place and *handler_status is the handler's
+//                own Status.
 //   kPeerDied    the server process died before accepting the call — the
 //                handler never ran, so the failure is retryable.
 //   kCallFailed  the server process died after accepting the call — the
@@ -58,18 +60,19 @@ class ProcTransport {
   // True when `server` has a live forked process behind it.
   virtual bool Serves(DomainId server) const = 0;
 
-  // Largest argument/result window Execute can move through the shared
-  // channel; calls that need more (out-of-band segments) stay in-process.
+  // Largest argument/result window Execute routes; calls on larger
+  // A-stacks (and out-of-band calls) stay in-process.
   virtual std::size_t payload_capacity() const = 0;
 
   // Forks a server process for `server` executing `iface`'s handlers.
   // The interface must be sealed; call after Export.
   virtual Status SpawnServer(DomainId server, const Interface* iface) = 0;
 
-  // One domain transfer: ship `window` (the marshaled A-stack bytes, or the
-  // linkage register window when `inline_window`) to `server`'s process,
-  // wait on the return doorbell, and copy the result bytes back into
-  // `window`. `kill` arms a deliberate SIGKILL at the given phase.
+  // One domain transfer: run `procedure` in `server`'s process on `window`
+  // (the call's A-stack, which the server process shares, or the linkage
+  // register window when `inline_window`) and wait on the return doorbell;
+  // the results are in `window` in place when it returns. `kill` arms a
+  // deliberate SIGKILL at the given phase.
   virtual Status Execute(DomainId server, DomainId client, int procedure,
                          bool inline_window, std::uint8_t* window,
                          std::size_t window_len, Status* handler_status,

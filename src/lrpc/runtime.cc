@@ -99,6 +99,14 @@ Result<ClientBinding*> LrpcRuntime::Import(Processor& cpu, DomainId client_id,
       const int count = iface->group_astack_count(group);
       AStackRegion* region =
           kernel_.AllocateAStacks(record, size, count, /*secondary=*/false);
+      if (region == nullptr) {
+        // The server's A-stack arena is full: the import fails whole,
+        // giving back what it carved, and the dead binding never validates.
+        kernel_.ReleaseAStacks(record);
+        record.revoked = true;
+        return Status(ErrorCode::kOutOfMemory,
+                      "server's A-stack arena cannot hold the binding");
+      }
       auto queue = std::make_unique<AStackQueue>(
           iface->name() + ".group" + std::to_string(group));
       for (int i = 0; i < count; ++i) {
@@ -135,6 +143,10 @@ Status LrpcRuntime::GrowAStacks(Processor& cpu, ClientBinding& binding,
   // will validate more slowly (Section 5.2).
   AStackRegion* region =
       kernel_.AllocateAStacks(*binding.record(), size, count, /*secondary=*/true);
+  if (region == nullptr) {
+    return Status(ErrorCode::kAStacksExhausted,
+                  "server's A-stack arena cannot hold more A-stacks");
+  }
   for (int i = 0; i < count; ++i) {
     binding.queue(group).Push(cpu, AStackRef{region, i});
   }
@@ -292,9 +304,15 @@ Status LrpcRuntime::UnmarshalResults(Processor& cpu, DomainId client,
       LRPC_RETURN_IF_ERROR(segment.Read(client, slot, ret.data, p.size));
       copied = p.size;
     } else {
+      // The prefix is server-written: read it once, and bound it by the
+      // slot as well as the buffer, or a hostile server could make this
+      // copy read past the slot into the neighbouring A-stack.
       std::uint32_t prefix = 0;
       LRPC_RETURN_IF_ERROR(segment.ReadValue(client, slot, &prefix));
-      if (prefix == kOobMarker || prefix > ret.len) {
+      if (prefix > p.ASlotSize() - sizeof(std::uint32_t)) {
+        return Status(ErrorCode::kInvalidArgument, "corrupt result length");
+      }
+      if (prefix > ret.len) {
         return Status(ErrorCode::kInvalidArgument, "result larger than buffer");
       }
       LRPC_RETURN_IF_ERROR(

@@ -38,11 +38,13 @@ constexpr int kYieldIterations = 128;
 
 void FutexDoorbell::Wake(std::atomic<std::uint32_t>* word,
                          std::atomic<std::uint32_t>* sleepers) {
-  // The Dekker handshake with WaitWhile: our word advance must be ordered
-  // before the sleepers read, as the waiter's sleepers increment is before
-  // its word re-check. One side or the other always sees the rendezvous.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers->load(std::memory_order_acquire) == 0) {
+  // The Dekker handshake with WaitWhile, as two RMWs on `sleepers`: this
+  // read-only fetch_add and the waiter's increment are ordered in the
+  // word's modification order. Ours after theirs: we read the announcement
+  // and wake. Ours first: their acquire RMW reads our release one, so our
+  // word advance happens-before their word re-check. Either way one side
+  // sees the rendezvous (docs/concurrency.md, "The futex doorbell").
+  if (sleepers->fetch_add(0, std::memory_order_acq_rel) == 0) {
     return;  // Partner is polling; it will see the word move.
   }
   Futex(word, FUTEX_WAKE, INT_MAX, nullptr);
@@ -72,11 +74,10 @@ std::uint32_t FutexDoorbell::WaitWhile(std::atomic<std::uint32_t>* word,
     }
   }
 
-  // Announce, re-check, sleep: the fence pairs with Wake's so a ring that
-  // lands between our last poll and the futex call either sees our
-  // announcement (and wakes) or moved the word before our re-check.
+  // Announce, re-check, sleep: the increment pairs with Wake's RMW so a
+  // ring that lands between our last poll and the futex call either sees
+  // our announcement (and wakes) or moved the word before our re-check.
   sleepers->fetch_add(1, std::memory_order_acq_rel);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   std::uint32_t now = word->load(std::memory_order_acquire);
   if (now == seen) {
     struct timespec ts;

@@ -1,23 +1,29 @@
 // ProcChannel: the shared-memory call channel between the client process
 // and one forked server domain (docs/multiprocess.md).
 //
-// One channel per server endpoint, placement-new'd into a ProcSegment
-// before fork so both sides address the same object. The protocol is three
-// monotonic sequence words behind futex doorbells:
+// One channel per server endpoint, placement-new'd at the start of a
+// ProcSegment before fork so both sides address the same object; the
+// server's A-stack arena follows it in the same mapping. A call carries no
+// argument bytes: the client stub marshaled them straight onto an A-stack
+// carved from that arena, and the channel names the A-stack by arena offset
+// and length (the inline path's register window, at most kLinkageRegsSize
+// bytes, rides in the entry itself). The protocol is three monotonic
+// sequence words behind futex doorbells:
 //
-//   call_seq    the client publishes a call (payload + header written
-//               first, then the release store; the server's acquire load
-//               makes the payload visible).
-//   accept_seq  the server bumps it when it dequeues the call — the word
+//   call_seq    the client publishes a batch of calls (A-stacks and entries
+//               written first, then the release store; the server's acquire
+//               load makes them visible).
+//   accept_seq  the server bumps it when it dequeues the batch — the word
 //               that splits peer death into "before accept" (kPeerDied,
-//               retryable: the handler never ran) and "after accept"
-//               (kCallFailed: the handler may have run).
-//   return_seq  the server publishes the results (payload written first,
-//               release store, futex wake; the client's acquire read pairs).
+//               retryable: no handler ran) and "after accept" (kCallFailed:
+//               a handler may have run).
+//   return_seq  the server publishes the results (written in place on the
+//               A-stacks first, release store, futex wake; the client's
+//               acquire read pairs).
 //
-// One call is outstanding per channel at a time (the parent serializes), so
-// the plain header fields need no ordering of their own: they are written
-// strictly before the sequence store that publishes them.
+// One batch is outstanding per channel at a time (the parent serializes),
+// so the plain header fields need no ordering of their own: they are
+// written strictly before the sequence store that publishes them.
 
 #ifndef SRC_PROC_PROC_CHANNEL_H_
 #define SRC_PROC_PROC_CHANNEL_H_
@@ -28,13 +34,22 @@
 #include <type_traits>
 
 #include "src/common/status.h"
+#include "src/shm/astack.h"
 
 namespace lrpc {
 
-// Largest argument/result window the channel carries. Calls that need more
-// (out-of-band segments, oversized A-stacks) execute in-process instead —
-// the same "uncommon case falls off the fast path" shape as Section 5.2.
+// Largest A-stack the process backend routes. Only A-stacks up to this
+// size are carved from a server's arena; calls on larger ones (and calls
+// that spill out-of-band) execute in-process instead — the same "uncommon
+// case falls off the fast path" shape as Section 5.2. A batch entry routes
+// the same windows as a single call.
 inline constexpr std::size_t kProcPayloadBytes = 4096;
+inline constexpr std::size_t kProcBatchEntryBytes = kProcPayloadBytes;
+
+// Bytes of each server's A-stack arena, mapped right after its channel.
+// The mapping is zero-filled and its pages are touched only as A-stacks
+// are used.
+inline constexpr std::size_t kProcArenaBytes = std::size_t{1} << 20;
 
 // Deliberate-death modes for the chaos schedules (FaultKind::
 // kPeerProcessDeath): the server process SIGKILLs itself at the named
@@ -44,24 +59,27 @@ inline constexpr std::uint32_t kProcDieNone = 0;
 inline constexpr std::uint32_t kProcDieInServerBody = 1;
 inline constexpr std::uint32_t kProcDieAfterReturn = 2;
 
-// Batched calls (docs/async.md): an AsyncRing's flush leg ships up to
-// kProcBatchMax calls behind ONE call_seq ring and ONE return_seq ring —
-// the doorbell wake pair is amortized across the batch. Each entry carries
-// its own window slice plus a per-entry `done` word, so a mid-batch death
-// can be triaged call by call (finished entries keep their real results).
+// Every crossing is a batch (docs/async.md): a synchronous call is a batch
+// of one, and an AsyncRing's flush leg ships up to kProcBatchMax calls
+// behind ONE call_seq ring and ONE return_seq ring — the doorbell wake pair
+// is amortized across the batch. Each entry has its own `done` word, so a
+// mid-batch death can be triaged call by call (finished entries keep their
+// real results).
 inline constexpr std::uint32_t kProcBatchMax = 16;  // == AsyncRing::kMaxDepth.
-inline constexpr std::size_t kProcBatchEntryBytes = 1024;
 
 struct ProcBatchEntry {
   std::int32_t procedure = -1;
-  std::uint32_t inline_window = 0;  // 1: payload is the register window.
-  std::uint32_t payload_len = 0;
+  std::uint32_t inline_window = 0;  // 1: `regs` holds the window.
+  // The call's A-stack: an offset into the server's arena and a length.
+  // Both are hostile input to the server, which bounds them before use.
+  std::uint64_t window_offset = 0;
+  std::uint64_t window_len = 0;
   std::int32_t handler_code = 0;  // ErrorCode of the handler's own Status.
-  // The server's release store publishes this entry's result bytes; the
-  // client reads it (acquire) after a peer death to learn which entries
-  // finished before the corpse.
+  // The server's release store publishes this entry's results; the client
+  // reads it (acquire) after a peer death to learn which entries finished
+  // before the corpse.
   std::atomic<std::uint32_t> done{0};
-  std::uint8_t payload[kProcBatchEntryBytes] = {};
+  std::uint8_t regs[kLinkageRegsSize] = {};  // The inline register window.
 };
 
 // The handler status a server process wrote into a channel word, decoded
@@ -88,21 +106,11 @@ struct ProcChannel {
   // Graceful-shutdown flag, polled by the server between calls.
   std::atomic<std::uint32_t> shutdown{0};
 
-  // --- Per-call header, written by the client before the call_seq store. ---
+  // --- Batch header, written by the client before the call_seq store. ---
   std::uint32_t die_mode = kProcDieNone;
-  std::int32_t procedure = -1;
   std::int32_t client_domain = -1;
   std::int32_t caller_thread = -1;
-  std::uint32_t inline_window = 0;  // 1: payload is the register window.
-  std::uint32_t payload_len = 0;
-  // >0: batch mode — serve `batch[0..batch_count)` and ignore the single-
-  // call fields above (except die_mode/client_domain/caller_thread).
-  std::uint32_t batch_count = 0;
-
-  // --- Per-call result, written by the server before the return_seq store. ---
-  std::int32_t handler_code = 0;  // ErrorCode of the handler's own Status.
-
-  std::uint8_t payload[kProcPayloadBytes] = {};
+  std::uint32_t batch_count = 0;  // Serve batch[0..batch_count).
   ProcBatchEntry batch[kProcBatchMax];
 };
 

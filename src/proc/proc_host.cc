@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -106,6 +107,7 @@ ProcHost::~ProcHost() {
       close(ep.ctl_fd);
       ep.ctl_fd = -1;
     }
+    RetireArena(ep);
   }
   endpoints_.clear();
   runtime_.AttachProcTransport(nullptr);
@@ -140,8 +142,16 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   Endpoint ep;
   ep.domain = server;
   ep.iface = iface;
-  LRPC_RETURN_IF_ERROR(ep.segment.Map(sizeof(ProcChannel)));
+  // One mapping: the channel, then (page-aligned) the A-stack arena. Both
+  // exist before the fork, so the server process inherits them.
+  const std::size_t arena_offset = ProcSegment::PageRound(sizeof(ProcChannel));
+  LRPC_RETURN_IF_ERROR(ep.segment.Map(arena_offset + kProcArenaBytes));
   ep.channel = new (ep.segment.data()) ProcChannel();
+  ep.arena = std::make_unique<AStackArena>(
+      std::span<std::uint8_t>(
+          static_cast<std::uint8_t*>(ep.segment.data()) + arena_offset,
+          kProcArenaBytes),
+      kProcPayloadBytes);
 
   // The liveness pipe: the child holds the write end for its whole life, so
   // its death (any death) hangs up the read end in the supervisor's epoll.
@@ -213,13 +223,16 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
   supervisor_.Watch(server, slot.pid, liveness[0]);
   slot.live = true;
+  // From here on the kernel carves this server's A-stacks from the arena.
+  runtime_.kernel().domain(server).set_astack_arena(slot.arena.get());
   return Status::Ok();
 }
 
 [[noreturn]] void ProcHost::ChildServe(Endpoint& self) {
-  // Real per-domain rights: this server may touch only its own channel.
-  // Sibling channels stay mapped (fork inherits the world) but go PROT_NONE,
-  // the mprotect expression of the paper's pair-wise sharing rule.
+  // Real per-domain rights: this server may touch only its own channel and
+  // arena. Sibling segments stay mapped (fork inherits the world) but go
+  // PROT_NONE, the mprotect expression of the paper's pair-wise sharing
+  // rule.
   for (auto& [domain, ep] : endpoints_) {
     if (domain != self.domain) {
       (void)ep.segment.Protect(ProcSegment::Access::kNone);
@@ -237,10 +250,15 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
   ProcChannel* ch = self.channel;
   Processor& cpu = runtime_.machine().processor(0);
+  // The one A-stack view every call is served through, re-pointed at each
+  // entry's window: the serve loop allocates no region per call.
+  AStackRegion view(kNoDomain, self.domain, kProcPayloadBytes, 1,
+                    /*secondary=*/false,
+                    std::span<std::uint8_t>(self.arena->base(), 0));
   std::uint32_t handled = 0;
   for (;;) {
     // Not a seqlock: call_seq is a monotonic doorbell with one outstanding
-    // call per channel, so the header fields it publishes are stable until
+    // batch per channel, so the header fields it publishes are stable until
     // the server bumps return_seq.
     std::uint32_t seen = ch->call_seq.load(  // NOLINT(lrpc-seqlock-recheck)
         std::memory_order_acquire);
@@ -259,46 +277,24 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
     const std::uint32_t die = ch->die_mode;
     const std::uint32_t batch = ch->batch_count;
 
-    if (batch > 0) {
-      // Batched mode (docs/async.md): serve every entry, then ring the
-      // return doorbell ONCE — the wake pair the batch amortizes. A
-      // mid-body death lands halfway through, so the client's per-entry
-      // triage sees finished and unfinished calls in the same corpse.
-      for (std::uint32_t i = 0; i < batch && i < kProcBatchMax; ++i) {
-        if (die == kProcDieInServerBody && i == batch / 2) {
-          kill(getpid(), SIGKILL);
-        }
-        ProcBatchEntry& entry = ch->batch[i];
-        const Status handler_status = ChildRunHandler(
-            self, cpu, entry.procedure, entry.inline_window != 0,
-            entry.payload, entry.payload_len, sizeof(entry.payload));
-        entry.handler_code = static_cast<std::int32_t>(handler_status.code());
-        entry.done.store(1, std::memory_order_release);
-      }
-      handled = seen;
-      ch->return_seq.fetch_add(1, std::memory_order_release);
-      FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
-      if (die == kProcDieAfterReturn) {
+    // Serve every entry, then ring the return doorbell ONCE — the wake pair
+    // a batch amortizes (docs/async.md). A mid-body death lands halfway
+    // through (before the only entry of a single call), so the client's
+    // per-entry triage sees finished and unfinished calls in one corpse.
+    for (std::uint32_t i = 0; i < batch && i < kProcBatchMax; ++i) {
+      if (die == kProcDieInServerBody && i == batch / 2) {
         kill(getpid(), SIGKILL);
       }
-      continue;
+      ProcBatchEntry& entry = ch->batch[i];
+      const Status handler_status = ChildRunHandler(self, cpu, view, entry);
+      entry.handler_code = static_cast<std::int32_t>(handler_status.code());
+      entry.done.store(1, std::memory_order_release);
     }
-
-    if (die == kProcDieInServerBody) {
-      // Chaos schedule: die "inside the handler", after accepting.
-      kill(getpid(), SIGKILL);
-    }
-
-    const Status handler_status = ChildRunHandler(
-        self, cpu, ch->procedure, ch->inline_window != 0, ch->payload,
-        ch->payload_len, sizeof(ch->payload));
-
-    ch->handler_code = static_cast<std::int32_t>(handler_status.code());
     handled = seen;
     ch->return_seq.fetch_add(1, std::memory_order_release);
     FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
     if (die == kProcDieAfterReturn) {
-      // Chaos schedule: the call itself succeeded; die right after the
+      // Chaos schedule: the calls themselves succeeded; die right after the
       // return doorbell so the *next* call finds a corpse.
       kill(getpid(), SIGKILL);
     }
@@ -306,43 +302,40 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 }
 
 Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
-                                 int procedure, bool inline_window,
-                                 std::uint8_t* payload, std::size_t len,
-                                 std::size_t capacity) {
+                                 AStackRegion& view, ProcBatchEntry& entry) {
+  // Every word of the entry is hostile input, read once: a client may aim
+  // any window at any procedure.
+  const std::int32_t procedure = entry.procedure;
+  const bool inline_window = entry.inline_window != 0;
+  const std::uint64_t offset = entry.window_offset;
+  const std::uint64_t len = entry.window_len;
   if (procedure < 0 || procedure >= self.iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
   const ProcedureDescriptor& pd = self.iface->pd(procedure);
-  const ProcedureDef& def = *pd.def;
-  const auto client = static_cast<DomainId>(self.channel->client_domain);
-  const auto caller = static_cast<ThreadId>(self.channel->caller_thread);
-  // A scratch A-stack shaped like the real one; the register-window mode
-  // serves arguments straight from the payload instead.
-  const std::size_t scratch_size =
-      pd.astack_size > 0 ? pd.astack_size : kLinkageRegsSize;
-  // `len` and the window mode are read from shared memory, so a hostile
-  // client may aim any window at any procedure: the window must fit the
-  // payload it was read from and the region it is served from.
-  if (len > capacity ||
-      len > (inline_window ? kLinkageRegsSize : scratch_size) ||
-      (inline_window && !pd.inline_eligible)) {
+  // A register window must fit the registers of an inline-eligible
+  // procedure; an A-stack window must lie inside the arena and fit the
+  // procedure's A-stack — bounded before any byte of it is touched.
+  const bool fits =
+      inline_window
+          ? len <= kLinkageRegsSize && pd.inline_eligible
+          : offset <= kProcArenaBytes && len <= kProcArenaBytes - offset &&
+                len <= pd.astack_size;
+  if (!fits) {
     return Status(ErrorCode::kInvalidArgument,
                   "argument window does not fit the procedure");
   }
-  AStackRegion scratch(client, self.domain, scratch_size, 1, false);
-  const AStackRef ref{&scratch, 0};
-  ServerFrame frame(nullptr, cpu, def, ref, self.domain, client, caller,
-                    nullptr);
+  const auto client = static_cast<DomainId>(self.channel->client_domain);
+  const auto caller = static_cast<ThreadId>(self.channel->caller_thread);
+  ServerFrame frame(nullptr, cpu, *pd.def, AStackRef{&view, 0}, self.domain,
+                    client, caller, nullptr);
   if (inline_window) {
-    frame.AttachRegisterWindow(payload);
-  } else if (len > 0) {
-    std::memcpy(scratch.segment().DataUnchecked(), payload, len);
+    frame.AttachRegisterWindow(entry.regs);
+  } else {
+    view.segment().Borrow(std::span<std::uint8_t>(
+        self.arena->base() + offset, static_cast<std::size_t>(len)));
   }
-  const Status handler_status = frame.Dispatch();
-  if (!inline_window && len > 0) {
-    std::memcpy(payload, scratch.segment().DataUnchecked(), len);
-  }
-  return handler_status;
+  return frame.Dispatch();
 }
 
 Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
@@ -355,97 +348,13 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
   }
   if (window_len > kProcPayloadBytes) {
     return Status(ErrorCode::kMessageTooLarge,
-                  "argument window exceeds the channel payload");
+                  "argument window exceeds the largest routed A-stack");
   }
-  if (ep->dead_pending || !ep->live) {
-    // A corpse detected earlier (post-return self-kill, or an out-of-call
-    // death not yet collected): the call never reaches the server, so this
-    // is a pre-accept death — retryable.
-    MarkDead(*ep);
-    return Status(ErrorCode::kPeerDied, "server process already dead");
-  }
-  if (kill_phase == KillPhase::kBeforeAccept) {
-    // Chaos schedule: kill before ringing the doorbell, so the handler
-    // provably never runs.
-    kill(ep->pid, SIGKILL);
-    MarkDead(*ep);
-    return Status(ErrorCode::kPeerDied,
-                  "server process died before accepting the call");
-  }
-
-  ProcChannel* ch = ep->channel;
-  ch->die_mode = kill_phase == KillPhase::kInServerBody ? kProcDieInServerBody
-                 : kill_phase == KillPhase::kAfterReturn ? kProcDieAfterReturn
-                                                         : kProcDieNone;
-  ch->procedure = procedure;
-  ch->client_domain = static_cast<std::int32_t>(client);
-  ch->caller_thread = static_cast<std::int32_t>(kNoThread);
-  ch->inline_window = inline_window ? 1u : 0u;
-  ch->payload_len = static_cast<std::uint32_t>(window_len);
-  ch->batch_count = 0;  // Single-call mode.
-  if (window_len > 0) {
-    std::memcpy(ch->payload, window, window_len);
-  }
-  const std::uint32_t accepted_before =
-      ch->accept_seq.load(std::memory_order_acquire);
-  const std::uint32_t returned_before =
-      ch->return_seq.load(std::memory_order_acquire);
-  ch->call_seq.fetch_add(1, std::memory_order_release);
-  FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
-  ++transfers_;
-
-  int waited_ms = 0;
-  for (;;) {
-    const std::uint32_t returned =
-        FutexDoorbell::WaitWhile(&ch->return_seq, &ch->return_sleepers,
-                                 returned_before, options_.wait_slice_ms);
-    if (returned != returned_before) {
-      // The server rang the return doorbell; its release store published
-      // the result payload under our acquire load.
-      if (window_len > 0) {
-        std::memcpy(window, ch->payload, window_len);
-      }
-      *handler_status = DecodeHandlerCode(ch->handler_code);
-      if (kill_phase == KillPhase::kAfterReturn) {
-        // The deliberate post-return death is synchronous (the child
-        // SIGKILLed itself right after ringing); reap it now so the next
-        // call observes kPeerDied deterministically.
-        MarkDead(*ep);
-      }
-      return Status::Ok();
-    }
-
-    // Liveness check between futex slices — this is what turns "peer died
-    // mid-call" into a prompt status instead of a hang.
-    int wait_status = 0;
-    const pid_t r = waitpid(ep->pid, &wait_status, WNOHANG);
-    if (r != 0) {
-      ep->reaped = r == ep->pid;
-      MarkDead(*ep);
-      const std::uint32_t accepted =
-          ch->accept_seq.load(std::memory_order_acquire);
-      if (accepted == accepted_before) {
-        return Status(ErrorCode::kPeerDied,
-                      "server process died before accepting the call");
-      }
-      return Status(ErrorCode::kCallFailed, "server process died mid-call");
-    }
-
-    waited_ms += options_.wait_slice_ms;
-    if (waited_ms >= options_.call_deadline_ms) {
-      // The backend's own watchdog: a wedged peer is indistinguishable from
-      // a hung call, so kill and collect it rather than hang the client.
-      kill(ep->pid, SIGKILL);
-      MarkDead(*ep);
-      const std::uint32_t accepted =
-          ch->accept_seq.load(std::memory_order_acquire);
-      if (accepted == accepted_before) {
-        return Status(ErrorCode::kPeerDied,
-                      "wedged server killed before accepting the call");
-      }
-      return Status(ErrorCode::kCallFailed, "wedged server killed mid-call");
-    }
-  }
+  // A synchronous call is a batch of one.
+  BatchCall call{procedure, inline_window, window, window_len};
+  Cross(*ep, client, std::span<BatchCall>(&call, 1), kill_phase);
+  *handler_status = call.handler_status;
+  return call.leg;
 }
 
 Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
@@ -454,57 +363,80 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
   if (calls.empty()) {
     return Status::Ok();
   }
-  // Batches the channel's batch area cannot carry take the compatibility
-  // loop — exact semantics first, doorbell amortization second.
-  bool fits = calls.size() <= kProcBatchMax;
-  for (const BatchCall& call : calls) {
-    fits = fits && call.window_len <= kProcBatchEntryBytes;
-  }
-  if (!fits) {
+  if (calls.size() > kProcBatchMax) {
+    // Longer than the channel's batch area: the compatibility loop.
     return ProcTransport::ExecuteBatch(server, client, calls, kill_phase);
   }
-
   Endpoint* ep = Find(server);
   if (ep == nullptr) {
     return Status(ErrorCode::kNoSuchDomain, "no process endpoint");
   }
+  Cross(*ep, client, calls, kill_phase);
+  return Status::Ok();
+}
+
+void ProcHost::Cross(Endpoint& ep, DomainId client, std::span<BatchCall> calls,
+                     KillPhase kill_phase) {
   auto fail_all = [&calls](ErrorCode code, const char* detail) {
     for (BatchCall& call : calls) {
       call.leg = Status(code, detail);
     }
   };
-  if (ep->dead_pending || !ep->live) {
-    MarkDead(*ep);
+  if (ep.dead_pending || !ep.live) {
+    // A corpse detected earlier (post-return self-kill, or an out-of-call
+    // death not yet collected): the calls never reach the server, so this
+    // is a pre-accept death — retryable.
+    MarkDead(ep);
     fail_all(ErrorCode::kPeerDied, "server process already dead");
-    return Status::Ok();
+    return;
   }
   if (kill_phase == KillPhase::kBeforeAccept) {
-    kill(ep->pid, SIGKILL);
-    MarkDead(*ep);
+    // Chaos schedule: kill before ringing the doorbell, so no handler
+    // provably runs.
+    kill(ep.pid, SIGKILL);
+    MarkDead(ep);
     fail_all(ErrorCode::kPeerDied,
              "server process died before accepting the call");
-    return Status::Ok();
+    return;
   }
 
-  ProcChannel* ch = ep->channel;
+  ProcChannel* ch = ep.channel;
   ch->die_mode = kill_phase == KillPhase::kInServerBody ? kProcDieInServerBody
                  : kill_phase == KillPhase::kAfterReturn ? kProcDieAfterReturn
                                                          : kProcDieNone;
   ch->client_domain = static_cast<std::int32_t>(client);
   ch->caller_thread = static_cast<std::int32_t>(kNoThread);
   ch->batch_count = static_cast<std::uint32_t>(calls.size());
+  const auto arena_base = reinterpret_cast<std::uintptr_t>(ep.arena->base());
   for (std::size_t i = 0; i < calls.size(); ++i) {
+    const BatchCall& call = calls[i];
     ProcBatchEntry& entry = ch->batch[i];
-    entry.procedure = calls[i].procedure;
-    entry.inline_window = calls[i].inline_window ? 1u : 0u;
-    entry.payload_len = static_cast<std::uint32_t>(calls[i].window_len);
+    entry.procedure = call.procedure;
+    entry.inline_window = call.inline_window ? 1u : 0u;
+    entry.window_len = call.window_len;
     entry.handler_code = 0;
     // Ordered by the call_seq release store below, like the plain header
     // fields.  LRPC_MO(pre-publish-reset)
     entry.done.store(0, std::memory_order_relaxed);
-    if (calls[i].window_len > 0) {
-      std::memcpy(entry.payload, calls[i].window, calls[i].window_len);
+    if (call.inline_window) {
+      // The register window rides in the entry. Never more than the
+      // registers hold; the server refuses a longer `window_len`.
+      entry.window_offset = 0;
+      const std::size_t n = std::min(call.window_len, kLinkageRegsSize);
+      if (n > 0) {
+        std::memcpy(entry.regs, call.window, n);
+      }
+      continue;
     }
+    // The A-stack is already in the arena: send its reference. A window
+    // outside the arena gets an offset the server refuses.
+    const std::uintptr_t at = reinterpret_cast<std::uintptr_t>(call.window);
+    const bool in_arena =
+        at >= arena_base && at - arena_base <= kProcArenaBytes &&
+        call.window_len <= kProcArenaBytes - (at - arena_base);
+    entry.window_offset = call.window_len == 0 ? 0
+                          : in_arena           ? at - arena_base
+                                               : kProcArenaBytes;
   }
   const std::uint32_t accepted_before =
       ch->accept_seq.load(std::memory_order_acquire);
@@ -516,6 +448,20 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
   FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
   ++transfers_;
 
+  // A finished entry's results are already on its A-stack; only a
+  // register window comes back out of the entry.
+  auto finish = [&](std::size_t i) {
+    BatchCall& call = calls[i];
+    const ProcBatchEntry& entry = ch->batch[i];
+    if (call.inline_window) {
+      const std::size_t n = std::min(call.window_len, kLinkageRegsSize);
+      if (n > 0) {
+        std::memcpy(call.window, entry.regs, n);
+      }
+    }
+    call.leg = Status::Ok();
+    call.handler_status = DecodeHandlerCode(entry.handler_code);
+  };
   // Per-entry triage after a peer death: never accepted => every call is
   // retryable; accepted => finished entries (done word published) keep
   // their real results, the rest may have run their handler => kCallFailed.
@@ -528,13 +474,8 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
       return;
     }
     for (std::size_t i = 0; i < calls.size(); ++i) {
-      ProcBatchEntry& entry = ch->batch[i];
-      if (entry.done.load(std::memory_order_acquire) != 0) {
-        if (calls[i].window_len > 0) {
-          std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
-        }
-        calls[i].leg = Status::Ok();
-        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
+      if (ch->batch[i].done.load(std::memory_order_acquire) != 0) {
+        finish(i);
       } else {
         calls[i].leg = Status(ErrorCode::kCallFailed, mid_detail);
       }
@@ -548,37 +489,38 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
                                  returned_before, options_.wait_slice_ms);
     if (returned != returned_before) {
       // The server rang the return doorbell once for the whole batch; its
-      // release store published every entry's result bytes.
+      // release store published every entry's results.
       for (std::size_t i = 0; i < calls.size(); ++i) {
-        ProcBatchEntry& entry = ch->batch[i];
-        if (calls[i].window_len > 0) {
-          std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
-        }
-        calls[i].leg = Status::Ok();
-        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
+        finish(i);
       }
       if (kill_phase == KillPhase::kAfterReturn) {
-        // Synchronous post-return death, reaped now (see Execute).
-        MarkDead(*ep);
+        // The deliberate post-return death is synchronous (the child
+        // SIGKILLed itself right after ringing); reap it now so the next
+        // call observes kPeerDied deterministically.
+        MarkDead(ep);
       }
-      return Status::Ok();
+      return;
     }
 
+    // Liveness check between futex slices — this is what turns "peer died
+    // mid-call" into a prompt status instead of a hang.
     int wait_status = 0;
-    const pid_t r = waitpid(ep->pid, &wait_status, WNOHANG);
+    const pid_t r = waitpid(ep.pid, &wait_status, WNOHANG);
     if (r != 0) {
-      ep->reaped = r == ep->pid;
-      MarkDead(*ep);
+      ep.reaped = r == ep.pid;
+      MarkDead(ep);
       triage_death("server process died mid-call");
-      return Status::Ok();
+      return;
     }
 
     waited_ms += options_.wait_slice_ms;
     if (waited_ms >= options_.call_deadline_ms) {
-      kill(ep->pid, SIGKILL);
-      MarkDead(*ep);
+      // The backend's own watchdog: a wedged peer is indistinguishable from
+      // a hung call, so kill and collect it rather than hang the client.
+      kill(ep.pid, SIGKILL);
+      MarkDead(ep);
       triage_death("wedged server killed mid-call");
-      return Status::Ok();
+      return;
     }
   }
 }
@@ -610,9 +552,19 @@ void ProcHost::OnDomainTerminated(DomainId domain) {
     kill(ep.pid, SIGKILL);
   }
   MarkDead(ep);
-  // Reclaim: the endpoint's destructor unmaps the shared channel segment;
-  // the liveness fd was closed by Unwatch, the control fd by MarkDead.
+  // Reclaim: the endpoint's destructor retires the arena — the dead
+  // binding's regions keep their bytes (results a finished call has yet to
+  // copy out among them) in storage of their own — and then unmaps the
+  // shared segment; the liveness fd was closed by Unwatch, the control fd
+  // by MarkDead.
+  RetireArena(ep);
   endpoints_.erase(it);
+}
+
+void ProcHost::RetireArena(Endpoint& ep) {
+  if (Domain* domain = runtime_.kernel().FindDomain(ep.domain)) {
+    domain->set_astack_arena(nullptr);
+  }
 }
 
 std::vector<DomainId> ProcHost::PollDeaths() {

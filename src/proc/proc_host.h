@@ -1,9 +1,12 @@
 // ProcHost: the multi-process backend behind RuntimeBackend::kMultiProcess
 // (docs/multiprocess.md).
 //
-// Each server domain becomes a real forked process. The A-stack argument
-// window crosses a MAP_SHARED channel segment behind a futex doorbell (the
-// domain transfer); binding admission runs over a UNIX-domain socket
+// Each server domain becomes a real forked process. Its A-stacks are carved
+// from an arena inside a MAP_SHARED segment mapped before the fork, so the
+// server process reads arguments and writes results on the client's
+// A-stacks in place; the call itself crosses the channel at the head of the
+// same segment behind a futex doorbell (the domain transfer), naming each
+// A-stack by arena offset. Binding admission runs over a UNIX-domain socket
 // handshake checked against the nameserver; and a ProcSupervisor watches
 // every child so peer death — deliberate (chaos SIGKILL schedules), induced
 // (wedged peers past the call deadline) or spontaneous — is detected,
@@ -20,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -29,6 +33,7 @@
 #include "src/proc/proc_channel.h"
 #include "src/proc/proc_segment.h"
 #include "src/proc/proc_supervisor.h"
+#include "src/shm/astack.h"
 
 namespace lrpc {
 
@@ -67,8 +72,7 @@ class ProcHost : public ProcTransport {
   // The single-doorbell batch protocol (docs/async.md): every call crosses
   // the channel's batch area behind ONE call doorbell and ONE return
   // doorbell; a peer death is triaged per entry via the `done` words.
-  // Batches the area cannot carry (oversized windows, overlong batches)
-  // fall back to the compatibility loop.
+  // Batches longer than the area fall back to the compatibility loop.
   Status ExecuteBatch(DomainId server, DomainId client,
                       std::span<BatchCall> calls,
                       KillPhase kill) override;
@@ -102,8 +106,12 @@ class ProcHost : public ProcTransport {
     DomainId domain = kNoDomain;
     const Interface* iface = nullptr;
     int pid = -1;
-    ProcSegment segment;            // Holds the channel.
+    ProcSegment segment;            // The channel, then the arena.
     ProcChannel* channel = nullptr;
+    // The server's A-stack arena, inside `segment`: declared after it so
+    // it is destroyed first, while its regions can still copy their bytes
+    // out of the mapping.
+    std::unique_ptr<AStackArena> arena;
     int ctl_fd = -1;                // Parent end of the control socket.
     bool live = false;              // Process believed running.
     bool dead_pending = false;      // Corpse detected, collector not yet run.
@@ -112,12 +120,21 @@ class ProcHost : public ProcTransport {
 
   // Serve loop of the forked child; never returns.
   [[noreturn]] void ChildServe(Endpoint& self);
-  // One handler execution in the child, against `payload` (`capacity`
-  // bytes of channel) as the argument window; shared by the single-call and
-  // batched serve paths. A window that does not fit is kInvalidArgument.
-  Status ChildRunHandler(Endpoint& self, Processor& cpu, int procedure,
-                         bool inline_window, std::uint8_t* payload,
-                         std::size_t len, std::size_t capacity);
+  // One handler execution in the child for one batch entry, served from
+  // the entry's register window or, through `view`, straight from the
+  // A-stack in the arena. Every entry word is bounded first: a window that
+  // does not fit the arena or the procedure is kInvalidArgument.
+  Status ChildRunHandler(Endpoint& self, Processor& cpu, AStackRegion& view,
+                         ProcBatchEntry& entry);
+
+  // The one crossing behind Execute and ExecuteBatch: fills one batch
+  // entry per call, rings the call doorbell once, waits for the return
+  // doorbell, and triages each call on peer death.
+  void Cross(Endpoint& ep, DomainId client, std::span<BatchCall> calls,
+             KillPhase kill_phase);
+  // Stops the kernel carving A-stacks from `ep`'s arena; the arena itself
+  // goes with the endpoint.
+  void RetireArena(Endpoint& ep);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.
   void MarkDead(Endpoint& ep);

@@ -17,7 +17,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/cacheline.h"
@@ -88,12 +90,66 @@ struct LRPC_CACHELINE_ALIGNED AStackSlotState {
 static_assert(sizeof(AStackSlotState) == kCacheLineSize,
               "one slot-state line per A-stack");
 
+class AStackRegion;
+
+// Storage for A-stack regions outside the heap: a fixed span of memory the
+// process backend places in each forked server's shared mapping, so the
+// server process reads and writes its clients' A-stacks in place
+// (docs/multiprocess.md). Regions are carved at bind and growth time —
+// first fit, cache-line aligned, never on the call path — and give their
+// bytes back when destroyed. The arena never grows: when it is full the
+// region is not allocated at all.
+class AStackArena {
+ public:
+  // `max_astack_size` is the largest A-stack the arena hosts; a region of
+  // larger A-stacks stays on the heap.
+  AStackArena(std::span<std::uint8_t> storage, std::size_t max_astack_size);
+  // Every region still carved from the arena first moves its bytes into
+  // storage of its own, so the arena's memory may go away afterwards.
+  ~AStackArena();
+
+  AStackArena(const AStackArena&) = delete;
+  AStackArena& operator=(const AStackArena&) = delete;
+
+  bool Hosts(std::size_t astack_size) const {
+    return astack_size <= max_astack_size_;
+  }
+  std::uint8_t* base() const { return storage_.data(); }
+
+ private:
+  friend class AStackRegion;
+
+  // Null when no free run of `bytes` is left.
+  std::uint8_t* Carve(std::size_t bytes);
+  // Returns `region`'s bytes and forgets it.
+  void Release(AStackRegion* region);
+
+  std::span<std::uint8_t> storage_;
+  std::size_t max_astack_size_;
+  std::map<std::size_t, std::size_t> free_;  // Offset -> length, coalesced.
+  std::vector<AStackRegion*> tenants_;
+};
+
 // One contiguous run of equally-sized A-stacks shared pair-wise between a
 // client and a server domain, with their co-located linkage records.
 class AStackRegion {
  public:
   AStackRegion(DomainId client, DomainId server, std::size_t astack_size,
                int count, bool secondary);
+  // The A-stacks live in `storage` (astack_size * count bytes), which the
+  // caller keeps alive.
+  AStackRegion(DomainId client, DomainId server, std::size_t astack_size,
+               int count, bool secondary, std::span<std::uint8_t> storage);
+  // Carves the A-stacks out of `arena`; null when the arena is full.
+  static std::unique_ptr<AStackRegion> InArena(AStackArena& arena,
+                                               DomainId client,
+                                               DomainId server,
+                                               std::size_t astack_size,
+                                               int count, bool secondary);
+  ~AStackRegion();
+
+  AStackRegion(const AStackRegion&) = delete;
+  AStackRegion& operator=(const AStackRegion&) = delete;
 
   DomainId client() const { return client_; }
   DomainId server() const { return server_; }
@@ -102,6 +158,9 @@ class AStackRegion {
   // True when allocated after bind time, outside the primary contiguous
   // range: validation takes the slower path (Section 5.2).
   bool secondary() const { return secondary_; }
+  // The arena the A-stacks were carved from; null once they live on the
+  // heap (always, or since the arena went away).
+  AStackArena* arena() const { return arena_; }
 
   SharedSegment& segment() { return segment_; }
   const SharedSegment& segment() const { return segment_; }
@@ -141,12 +200,17 @@ class AStackRegion {
   void InvalidateAllLinkages();
 
  private:
+  friend class AStackArena;
+
+  void Init();
+
   DomainId client_;
   DomainId server_;
   std::size_t astack_size_;
   int count_;
   bool secondary_;
   SharedSegment segment_;
+  AStackArena* arena_ = nullptr;
   std::vector<LinkageRecord> linkages_;
   std::vector<AStackSlotState> slot_state_;
 };

@@ -2,6 +2,23 @@
 
 namespace lrpc {
 
+void SharedSegment::Borrow(std::span<std::uint8_t> storage) {
+  owned_.clear();
+  owned_.shrink_to_fit();
+  data_ = storage.data();
+  size_ = storage.size();
+  borrowed_ = true;
+}
+
+void SharedSegment::Adopt() {
+  if (!borrowed_) {
+    return;
+  }
+  owned_.assign(data_, data_ + size_);
+  data_ = owned_.data();
+  borrowed_ = false;
+}
+
 void SharedSegment::GrantMapping(DomainId domain, MapRights rights) {
   for (auto& m : mappings_) {
     if (m.domain == domain) {
@@ -48,7 +65,7 @@ Status SharedSegment::Write(DomainId domain, std::size_t offset,
     return Status(ErrorCode::kInvalidArgument, "segment write out of bounds");
   }
   if (len != 0) {  // Zero-length writes may legally pass data == nullptr.
-    std::memcpy(bytes_.data() + offset, data, len);
+    std::memcpy(data_ + offset, data, len);
   }
   return Status::Ok();
 }
@@ -62,7 +79,7 @@ Status SharedSegment::Read(DomainId domain, std::size_t offset, void* out,
     return Status(ErrorCode::kInvalidArgument, "segment read out of bounds");
   }
   if (len != 0) {  // Zero-length reads may legally pass out == nullptr.
-    std::memcpy(out, bytes_.data() + offset, len);
+    std::memcpy(out, data_ + offset, len);
   }
   return Status::Ok();
 }

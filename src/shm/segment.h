@@ -10,12 +10,17 @@
 //
 // The kernel itself accesses segments without rights checks (it maps
 // everything), via the *Unchecked accessors.
+//
+// A segment either owns its bytes (a heap buffer) or borrows them from
+// memory someone else keeps alive: the process backend's A-stack arena,
+// which lives in a mapping the server process shares (docs/multiprocess.md).
 
 #ifndef SRC_SHM_SEGMENT_H_
 #define SRC_SHM_SEGMENT_H_
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -31,9 +36,25 @@ enum class MapRights : std::uint8_t {
 
 class SharedSegment {
  public:
-  explicit SharedSegment(std::size_t size) : bytes_(size, 0) {}
+  explicit SharedSegment(std::size_t size)
+      : owned_(size, 0), data_(owned_.data()), size_(size) {}
+  // Borrows `storage`, which must outlive the segment or be given up first
+  // with Adopt().
+  explicit SharedSegment(std::span<std::uint8_t> storage)
+      : data_(storage.data()), size_(storage.size()), borrowed_(true) {}
 
-  std::size_t size() const { return bytes_.size(); }
+  // `data_` points into `owned_` or into borrowed storage: no copies.
+  SharedSegment(const SharedSegment&) = delete;
+  SharedSegment& operator=(const SharedSegment&) = delete;
+
+  std::size_t size() const { return size_; }
+
+  // Re-points the segment at other borrowed storage, dropping any bytes it
+  // owned (the server process's reusable view of one A-stack).
+  void Borrow(std::span<std::uint8_t> storage);
+  // Copies the borrowed bytes into a buffer the segment owns, so the
+  // borrowed storage may go away.
+  void Adopt();
 
   // --- Mapping management (kernel-only operations). ---
   void GrantMapping(DomainId domain, MapRights rights);
@@ -61,8 +82,8 @@ class SharedSegment {
   }
 
   // --- Kernel access (no rights check; bounds still enforced). ---
-  std::uint8_t* DataUnchecked() { return bytes_.data(); }
-  const std::uint8_t* DataUnchecked() const { return bytes_.data(); }
+  std::uint8_t* DataUnchecked() { return data_; }
+  const std::uint8_t* DataUnchecked() const { return data_; }
 
  private:
   struct Mapping {
@@ -71,10 +92,13 @@ class SharedSegment {
   };
 
   bool InBounds(std::size_t offset, std::size_t len) const {
-    return offset <= bytes_.size() && len <= bytes_.size() - offset;
+    return offset <= size_ && len <= size_ - offset;
   }
 
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t> owned_;
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  bool borrowed_ = false;
   // Small linear map: a segment is mapped into at most a handful of domains.
   std::vector<Mapping> mappings_;
 };

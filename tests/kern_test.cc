@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/kern/kernel.h"
 
 namespace lrpc {
@@ -180,6 +182,36 @@ TEST_F(KernelTest, EStackLazilyAssociatedAndReused) {
   ASSERT_TRUE(third.ok());
   EXPECT_NE(*third, *first);
   EXPECT_EQ(server.estacks().allocated(), 2);
+}
+
+TEST_F(KernelTest, AStacksComeFromTheServersArenaWhenItHasOne) {
+  const DomainId c = kernel_.CreateDomain({.name = "c"});
+  const DomainId s = kernel_.CreateDomain({.name = "s"});
+  std::vector<std::uint8_t> memory(2048);
+  AStackArena arena(memory, /*max_astack_size=*/512);
+  kernel_.domain(s).set_astack_arena(&arena);
+  BindingRecord& rec = kernel_.bindings().Create(c, s, 0, nullptr, false);
+
+  AStackRegion* carved = kernel_.AllocateAStacks(rec, 512, 2, false);
+  ASSERT_NE(carved, nullptr);
+  EXPECT_EQ(carved->arena(), &arena);
+  // A-stacks larger than the arena hosts stay on the heap.
+  AStackRegion* big = kernel_.AllocateAStacks(rec, 1024, 4, false);
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(big->arena(), nullptr);
+  // The arena's last kilobyte: one more 1 KB run fits, then nothing does.
+  ASSERT_NE(kernel_.AllocateAStacks(rec, 512, 2, true), nullptr);
+  EXPECT_EQ(kernel_.AllocateAStacks(rec, 64, 1, true), nullptr);
+  EXPECT_EQ(kernel_.astack_regions().size(), 3u);
+
+  // Releasing the binding's regions returns every carved byte.
+  kernel_.ReleaseAStacks(rec);
+  EXPECT_TRUE(rec.regions.empty());
+  EXPECT_TRUE(kernel_.astack_regions().empty());
+  BindingRecord& next = kernel_.bindings().Create(c, s, 0, nullptr, false);
+  AStackRegion* whole = kernel_.AllocateAStacks(next, 512, 4, false);
+  ASSERT_NE(whole, nullptr);
+  EXPECT_EQ(whole->segment().DataUnchecked(), memory.data());
 }
 
 TEST_F(KernelTest, EStackBudgetExhaustionStealsOldestAssociation) {

@@ -571,6 +571,117 @@ TEST(CompletionRingModel, PublishingTailBeforeTheCellIsCaught) {
             std::string::npos);
 }
 
+// --- The futex doorbell's wake elision (src/proc/futex_doorbell.cc). ---
+//
+// One ringer, one waiter, one doorbell word. The ringer advances the word
+// (a release RMW), then reads the sleepers count with an acq_rel RMW and
+// issues FUTEX_WAKE only when someone announced. The waiter announces with
+// an acq_rel increment, re-checks the word, and FUTEX_WAITs — whose
+// in-kernel compare of the word and enqueue is one atomic step, as is
+// FUTEX_WAKE's dequeue. The property: no schedule leaves the waiter asleep
+// after the ringer has finished without waking it (a lost wake, which the
+// real code would only survive by its bounded wait). The acq_rel pair puts
+// the two RMWs in one modification order, which is what lets the model run
+// each as one step (docs/concurrency.md, "The futex doorbell"). The broken
+// variant is what relaxed RMWs would permit: the ringer's count check takes
+// effect before its word advance, and the checker must catch the waiter
+// sleeping through the ring.
+
+struct DoorbellModel {
+  int word = 0;            // The doorbell's sequence word.
+  int sleepers = 0;        // Announced waiters.
+  int ringer_saw = 0;      // What the ringer's sleepers RMW read.
+  bool asleep = false;     // The waiter is enqueued in FUTEX_WAIT.
+  bool ringer_done = false;
+  bool operator==(const DoorbellModel&) const = default;
+};
+
+ModelThread<DoorbellModel> Ringer(bool check_before_advance) {
+  ModelThread<DoorbellModel> t;
+  t.name = "ringer";
+  auto advance = [](DoorbellModel& m) { m.word = 1; };
+  auto check = [](DoorbellModel& m) { m.ringer_saw = m.sleepers; };
+  t.steps.push_back([=](DoorbellModel& m) {
+    check_before_advance ? check(m) : advance(m);
+    return 1;
+  });
+  t.steps.push_back([=](DoorbellModel& m) {
+    check_before_advance ? advance(m) : check(m);
+    if (m.ringer_saw == 0) {
+      m.ringer_done = true;  // Elided: the partner is still polling.
+      return kDone;
+    }
+    return 2;
+  });
+  t.steps.push_back([](DoorbellModel& m) {
+    m.asleep = false;  // FUTEX_WAKE.
+    m.ringer_done = true;
+    return kDone;
+  });
+  return t;
+}
+
+ModelThread<DoorbellModel> Waiter() {
+  ModelThread<DoorbellModel> t;
+  t.name = "waiter";
+  enum { kAnnounce, kRecheck, kFutexWait, kBlocked, kLeave };
+  t.steps.resize(5);
+  t.steps[kAnnounce] = [](DoorbellModel& m) {
+    ++m.sleepers;
+    return static_cast<int>(kRecheck);
+  };
+  t.steps[kRecheck] = [](DoorbellModel& m) {
+    return static_cast<int>(m.word != 0 ? kLeave : kFutexWait);
+  };
+  t.steps[kFutexWait] = [](DoorbellModel& m) {
+    if (m.word != 0) {
+      return static_cast<int>(kLeave);  // EAGAIN: the word moved.
+    }
+    m.asleep = true;
+    return static_cast<int>(kBlocked);
+  };
+  t.steps[kBlocked] = [](DoorbellModel& m) {
+    // Asleep until woken (a no-op re-poll, pruned).
+    return static_cast<int>(m.asleep ? kBlocked : kLeave);
+  };
+  t.steps[kLeave] = [](DoorbellModel& m) {
+    --m.sleepers;
+    return kDone;
+  };
+  return t;
+}
+
+ExploreStats CheckDoorbell(bool check_before_advance) {
+  Explorer<DoorbellModel> explorer(
+      {Ringer(check_before_advance), Waiter()});
+  explorer.set_invariant([](const DoorbellModel& m) {
+    return !(m.asleep && m.ringer_done);  // A lost wake.
+  });
+  explorer.set_terminal_check([](const DoorbellModel& m) {
+    return !m.asleep && m.sleepers == 0 && m.word == 1;
+  });
+  return explorer.Run(DoorbellModel{});
+}
+
+TEST(DoorbellModel, NoInterleavingLosesAWake) {
+  const ExploreStats stats = CheckDoorbell(false);
+  EXPECT_TRUE(stats.ok()) << stats.failure_traces[0];
+  // Schedules where the waiter sleeps and is woken, and where it sees the
+  // word first and never sleeps, are both reached.
+  EXPECT_GT(stats.schedules, 2u);
+}
+
+TEST(DoorbellModel, CheckingSleepersBeforeTheAdvanceIsCaught) {
+  // The ringer reads "no sleepers", the waiter then announces, re-checks
+  // the still-unmoved word and sleeps, and the ringer advances the word
+  // and skips the wake: the waiter sleeps through the ring.
+  const ExploreStats stats = CheckDoorbell(true);
+  EXPECT_FALSE(stats.ok());
+  ASSERT_FALSE(stats.failure_traces.empty());
+  EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace model
 }  // namespace lrpc

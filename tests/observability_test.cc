@@ -362,5 +362,47 @@ TEST(HostileClient, CorruptLengthPrefixRejectedNotCrashed) {
   EXPECT_FALSE(handler_saw_error);
 }
 
+TEST(HostileServer, ResultPrefixPastTheSlotIsRejected) {
+  // The server writes results on the shared A-stack, so a hostile one can
+  // write any length prefix into a variable out-slot. A prefix past the
+  // slot must fail the call even when the caller's buffer is larger —
+  // otherwise copy F would read past the slot into the next A-stack.
+  constexpr std::size_t kMax = 16;
+  Testbed bed;
+  Interface* iface =
+      bed.runtime().CreateInterface(bed.server_domain(), "hostile.Result");
+  AStackRegion* region = nullptr;  // Set once the binding exists.
+  ProcedureDef def;
+  def.name = "Leak";
+  def.params.push_back({.name = "data",
+                        .direction = ParamDirection::kOut,
+                        .size = 0,
+                        .max_size = kMax});
+  def.handler = [&region, &bed](ServerFrame& frame) -> Status {
+    const std::uint8_t honest[kMax] = {};
+    LRPC_RETURN_IF_ERROR(frame.WriteResult(0, honest, sizeof(honest)));
+    // Then overwrite the prefix of the out-slot (at offset 0 of every
+    // A-stack of the region the server shares) with one byte too many.
+    const auto prefix = static_cast<std::uint32_t>(kMax + 1);
+    for (int i = 0; i < region->count(); ++i) {
+      LRPC_RETURN_IF_ERROR(region->segment().WriteValue(
+          bed.server_domain(), region->OffsetOf(i), prefix));
+    }
+    return Status::Ok();
+  };
+  iface->AddProcedure(std::move(def));
+  ASSERT_TRUE(bed.runtime().Export(iface).ok());
+  auto binding =
+      bed.runtime().Import(bed.cpu(0), bed.client_domain(), "hostile.Result");
+  ASSERT_TRUE(binding.ok());
+  region = (*binding)->record()->regions.front().get();
+
+  std::uint8_t out[4 * kMax] = {};
+  const CallRet rets[] = {CallRet(out, sizeof(out))};
+  const Status status = bed.runtime().Call(
+      bed.cpu(0), bed.client_thread(), **binding, 0, {}, rets);
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace lrpc

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -18,6 +19,7 @@
 #include "src/common/rng.h"
 #include "src/lrpc/async_call.h"
 #include "src/lrpc/chaos_testbed.h"
+#include "src/lrpc/server_frame.h"
 #include "src/lrpc/supervised_call.h"
 #include "src/proc/proc_host.h"
 #include "src/proc/proc_world.h"
@@ -113,6 +115,74 @@ TEST(ProcBackendTest, OversizedWindowIsRejectedAndTheServerSurvives) {
   // The server process is still alive and serving.
   EXPECT_TRUE(world.CallNull().ok());
   EXPECT_TRUE(world.host().Serves(world.server_domain()));
+}
+
+TEST(ProcBackendTest, CopyStatsMatchTheSimBackend) {
+  SKIP_WITHOUT_FORK();
+  // Table 3's gate on the process backend: the server process reads the
+  // arguments on the client's A-stack and writes the results there, so a
+  // BigInOut call makes exactly the simulator's copies — A in, F out.
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+  Testbed bed;
+
+  std::uint8_t in[kBigSize];
+  std::uint8_t proc_out[kBigSize] = {};
+  std::uint8_t sim_out[kBigSize] = {};
+  for (std::size_t i = 0; i < kBigSize; ++i) {
+    in[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  }
+  CallStats proc_stats;
+  CallStats sim_stats;
+  ASSERT_TRUE(world.CallBigInOut(in, proc_out, 0, &proc_stats).ok());
+  ASSERT_TRUE(bed.CallBigInOut(in, sim_out, &sim_stats).ok());
+  EXPECT_EQ(world.host().transfers(), 1u);
+  EXPECT_EQ(proc_stats.copies.a, sim_stats.copies.a);
+  EXPECT_EQ(proc_stats.copies.b, sim_stats.copies.b);
+  EXPECT_EQ(proc_stats.copies.c, sim_stats.copies.c);
+  EXPECT_EQ(proc_stats.copies.d, sim_stats.copies.d);
+  EXPECT_EQ(proc_stats.copies.e, sim_stats.copies.e);
+  EXPECT_EQ(proc_stats.copies.f, sim_stats.copies.f);
+  EXPECT_EQ(proc_stats.copies.bytes_copied, sim_stats.copies.bytes_copied);
+  EXPECT_EQ(proc_stats.copies.total_ops(), 2u);
+  EXPECT_EQ(std::memcmp(proc_out, sim_out, kBigSize), 0);
+}
+
+TEST(ProcBackendTest, ImportThatOverflowsTheArenaIsOutOfMemory) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+  const std::string name = world.binding().interface_spec()->name();
+
+  // Every import carves its A-stacks from the server's fixed arena; keep
+  // importing until one cannot fit. It fails whole, with a typed error —
+  // never a heap fallback.
+  int imported = 0;
+  Status failed = Status::Ok();
+  while (failed.ok() && imported < 100000) {
+    Result<ClientBinding*> bound =
+        world.runtime().Import(world.cpu(), world.client_domain(), name);
+    failed = bound.status();
+    imported += bound.ok() ? 1 : 0;
+  }
+  EXPECT_EQ(failed.code(), ErrorCode::kOutOfMemory);
+  EXPECT_GT(imported, 1);
+  // The failed import gave back what it carved: the next one fails the
+  // same way instead of fitting a smaller leftover.
+  EXPECT_EQ(world.runtime()
+                .Import(world.cpu(), world.client_domain(), name)
+                .status()
+                .code(),
+            ErrorCode::kOutOfMemory);
+
+  // The server is untouched and still serving its first binding.
+  std::uint8_t in[kBigSize] = {1, 2, 3};
+  std::uint8_t out[kBigSize] = {};
+  EXPECT_TRUE(world.CallNull().ok());
+  EXPECT_TRUE(world.CallBigInOut(in, out).ok());
+  EXPECT_EQ(out[kBigSize - 1], 1);
+  EXPECT_TRUE(world.host().Serves(world.server_domain()));
+  EXPECT_EQ(world.host().live_endpoints(), 1u);
 }
 
 TEST(ProcChannelTest, HandlerCodesOutsideTheErrorCodeRangeReadAsCallFailed) {
@@ -456,6 +526,167 @@ TEST(ProcAsyncTest, PreAcceptBatchDeathIsRetryableForEveryEntry) {
   }
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 0u);
   EXPECT_EQ(world.host().CollectDead(), 1);
+}
+
+// A world whose procedure has an A-stack window over 1 KB: Wide echoes
+// kWideBytes reversed and reports the pid of the process that ran it.
+constexpr std::size_t kWideBytes = 2000;
+
+struct WideWorld {
+  Machine machine{MachineModel::CVaxFirefly(), 1};
+  Kernel kernel{machine};
+  LrpcRuntime runtime{kernel, RuntimeBackend::kMultiProcess};
+  ProcHost host{runtime};  // Declared after the runtime: destroyed first.
+  DomainId client = kNoDomain;
+  DomainId server = kNoDomain;
+  ThreadId thread = kNoThread;
+  ClientBinding* binding = nullptr;
+  int null_proc = -1;
+  int wide_proc = -1;
+  Status status = Status::Ok();
+
+  WideWorld() {
+    client = kernel.CreateDomain({.name = "wide-client"});
+    server = kernel.CreateDomain({.name = "wide-server"});
+    thread = kernel.CreateThread(client);
+    Interface* iface = runtime.CreateInterface(server, "proc.Wide");
+    ProcedureDef null_def;
+    null_def.name = "Null";
+    null_def.handler = [](ServerFrame&) { return Status::Ok(); };
+    null_proc = iface->AddProcedure(std::move(null_def));
+    ProcedureDef def;
+    def.name = "Wide";
+    def.params.push_back({.name = "in", .direction = ParamDirection::kIn,
+                          .size = kWideBytes});
+    def.params.push_back({.name = "out", .direction = ParamDirection::kOut,
+                          .size = kWideBytes});
+    def.params.push_back({.name = "pid", .direction = ParamDirection::kOut,
+                          .size = sizeof(std::int32_t)});
+    def.handler = [](ServerFrame& frame) -> Status {
+      std::uint8_t buffer[kWideBytes];
+      Result<std::size_t> n = frame.ReadArg(0, buffer, sizeof(buffer));
+      if (!n.ok()) {
+        return n.status();
+      }
+      std::reverse(buffer, buffer + kWideBytes);
+      LRPC_RETURN_IF_ERROR(frame.WriteResult(1, buffer, kWideBytes));
+      const auto pid = static_cast<std::int32_t>(getpid());
+      return frame.Result_<std::int32_t>(2, pid);
+    };
+    wide_proc = iface->AddProcedure(std::move(def));
+    status = runtime.Export(iface);
+    if (status.ok()) {
+      status = host.SpawnServer(server, iface);
+    }
+    if (status.ok()) {
+      Result<ClientBinding*> bound =
+          runtime.Import(machine.processor(0), client, iface->name());
+      status = bound.status();
+      binding = bound.ok() ? *bound : nullptr;
+    }
+    machine.processor(0).LoadContext(kernel.domain(client).vm_context());
+    kernel.thread(thread).set_current_domain(client);
+  }
+};
+
+TEST(ProcAsyncTest, LargeWindowsBatchBehindOneTransfer) {
+  SKIP_WITHOUT_FORK();
+  WideWorld world;
+  ASSERT_TRUE(world.status.ok()) << world.status.detail();
+  ASSERT_GT(world.binding->interface_spec()->pd(world.wide_proc).astack_size,
+            std::size_t{1024});
+  Processor& cpu = world.machine.processor(0);
+
+  // Two Wide windows between Nulls: the whole flush still crosses behind
+  // one doorbell pair, because an entry names its A-stack instead of
+  // carrying its bytes.
+  AsyncRing ring(world.runtime, *world.binding, world.thread, /*depth=*/4);
+  std::uint8_t in[2][kWideBytes];
+  std::uint8_t out[2][kWideBytes] = {};
+  std::int32_t pid[2] = {};
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < kWideBytes; ++i) {
+      in[c][i] = static_cast<std::uint8_t>(i * (c + 3) + 7);
+    }
+  }
+  ASSERT_TRUE(ring.Submit(cpu, world.null_proc, {}, {}).ok());
+  for (int c = 0; c < 2; ++c) {
+    const CallArg args[] = {CallArg(in[c], kWideBytes)};
+    const CallRet rets[] = {CallRet(out[c], kWideBytes), CallRet::Of(&pid[c])};
+    ASSERT_TRUE(ring.Submit(cpu, world.wide_proc, args, rets).ok());
+  }
+  ASSERT_TRUE(ring.Submit(cpu, world.null_proc, {}, {}).ok());
+  ring.Drain(cpu);
+
+  ASSERT_EQ(ring.results().size(), 4u);
+  for (const AsyncCompletion& done : ring.results()) {
+    EXPECT_TRUE(done.status.ok()) << ErrorCodeName(done.status.code());
+  }
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < kWideBytes; ++i) {
+      ASSERT_EQ(out[c][i], in[c][kWideBytes - 1 - i]) << c << " at " << i;
+    }
+    // The server process ran it, not this one.
+    EXPECT_EQ(pid[c], world.host.peer_pid(world.server));
+    EXPECT_NE(pid[c], static_cast<std::int32_t>(getpid()));
+  }
+  EXPECT_EQ(world.host.transfers(), 1u);
+}
+
+TEST(ProcAsyncTest, MidBatchDeathKeepsFinishedResults) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  // Four BigInOut calls in one flush, with the server armed to die inside
+  // its body: it finishes entries 0 and 1, then SIGKILLs itself before
+  // entry 2. The collector runs inside the flush and unmaps the server's
+  // segment — the arena the finished calls' results sit in — before their
+  // copy-out; the results must survive it.
+  AsyncRing ring(world.runtime(), world.binding(), world.client_thread(),
+                 /*depth=*/4);
+  std::uint8_t in[4][kBigSize];
+  std::uint8_t out[4][kBigSize] = {};
+  CallToken tokens[4] = {};
+  for (int c = 0; c < 4; ++c) {
+    for (std::size_t i = 0; i < kBigSize; ++i) {
+      in[c][i] = static_cast<std::uint8_t>(i * (c + 2) + 11);
+    }
+    const CallArg args[] = {CallArg(in[c], kBigSize)};
+    const CallRet rets[] = {CallRet(out[c], kBigSize)};
+    Result<CallToken> token =
+        ring.Submit(world.cpu(), world.biginout_proc(), args, rets);
+    ASSERT_TRUE(token.ok());
+    tokens[c] = *token;
+  }
+  // The injector fires on the flush's one routing decision; its first hit
+  // selects the in-body phase (hits % 3 == 1).
+  FaultInjector injector(
+      FaultPlan::SeededRandom(1.0, {FaultKind::kPeerProcessDeath}), 7);
+  world.kernel().set_fault_injector(&injector);
+  ring.Drain(world.cpu());
+  world.kernel().set_fault_injector(nullptr);
+
+  ASSERT_EQ(ring.results().size(), 4u);
+  for (const AsyncCompletion& done : ring.results()) {
+    const int c = done.token == tokens[0]   ? 0
+                  : done.token == tokens[1] ? 1
+                  : done.token == tokens[2] ? 2
+                                            : 3;
+    if (c < 2) {
+      ASSERT_TRUE(done.status.ok()) << c << ": "
+                                    << ErrorCodeName(done.status.code());
+      for (std::size_t i = 0; i < kBigSize; ++i) {
+        ASSERT_EQ(out[c][i], in[c][kBigSize - 1 - i]) << c << " at " << i;
+      }
+    } else {
+      EXPECT_EQ(done.status.code(), ErrorCode::kCallFailed) << c;
+    }
+  }
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 2u);
+  // The collector reclaimed the dead server's segment.
+  EXPECT_EQ(world.host().live_endpoints(), 0u);
+  EXPECT_EQ(world.host().mapped_segments(), 0u);
 }
 
 TEST(ProcChaosTest, AsyncBurstSchedulesSurviveRealProcessDeath) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "src/shm/astack.h"
 #include "src/shm/segment.h"
@@ -79,6 +82,73 @@ TEST(SegmentTest, SharedBytesAreReallyShared) {
 }
 
 // --- AStackRegion ---
+
+// --- AStackArena: regions carved from memory the caller provides. ---
+
+TEST(AStackArenaTest, CarvesUntilFullAndNeverOverlaps) {
+  std::vector<std::uint8_t> memory(4096);
+  AStackArena arena(memory, /*max_astack_size=*/1024);
+  EXPECT_TRUE(arena.Hosts(1024));
+  EXPECT_FALSE(arena.Hosts(1025));
+  std::vector<std::unique_ptr<AStackRegion>> regions;
+  for (int i = 0; i < 4; ++i) {
+    regions.push_back(
+        AStackRegion::InArena(arena, kClient, kServer, 512, 2, false));
+    ASSERT_NE(regions.back(), nullptr) << i;
+    EXPECT_EQ(regions.back()->arena(), &arena);
+    const std::uint8_t* data = regions.back()->segment().DataUnchecked();
+    EXPECT_GE(data, memory.data());
+    EXPECT_LE(data + 1024, memory.data() + memory.size());
+  }
+  // Full: the region is refused outright, not placed anywhere else.
+  EXPECT_EQ(AStackRegion::InArena(arena, kClient, kServer, 64, 1, false),
+            nullptr);
+  // The four regions tile the arena without overlapping.
+  ASSERT_TRUE(regions[0]->segment().Write(kClient, 0, "a", 1).ok());
+  ASSERT_TRUE(regions[1]->segment().Write(kClient, 1023, "b", 1).ok());
+  EXPECT_EQ(regions[1]->segment().DataUnchecked() -
+                regions[0]->segment().DataUnchecked(),
+            1024);
+}
+
+TEST(AStackArenaTest, FreedRegionsCoalesceBackIntoOneRun) {
+  std::vector<std::uint8_t> memory(4096);
+  AStackArena arena(memory, 4096);
+  auto a = AStackRegion::InArena(arena, kClient, kServer, 1024, 1, false);
+  auto b = AStackRegion::InArena(arena, kClient, kServer, 1024, 1, false);
+  auto c = AStackRegion::InArena(arena, kClient, kServer, 1024, 1, false);
+  auto d = AStackRegion::InArena(arena, kClient, kServer, 1024, 1, false);
+  ASSERT_NE(d, nullptr);
+  // Give back the two in the middle, in either order: one 2 KB run.
+  c.reset();
+  b.reset();
+  auto middle = AStackRegion::InArena(arena, kClient, kServer, 2048, 1, false);
+  ASSERT_NE(middle, nullptr);
+  EXPECT_EQ(middle->segment().DataUnchecked(), memory.data() + 1024);
+  // Everything back: the whole arena is one run again.
+  a.reset();
+  middle.reset();
+  d.reset();
+  EXPECT_NE(AStackRegion::InArena(arena, kClient, kServer, 4096, 1, false),
+            nullptr);
+}
+
+TEST(AStackArenaTest, RegionsKeepTheirBytesWhenTheArenaGoes) {
+  std::vector<std::uint8_t> memory(1024);
+  auto arena = std::make_unique<AStackArena>(memory, 1024);
+  auto region = AStackRegion::InArena(*arena, kClient, kServer, 256, 2, false);
+  ASSERT_NE(region, nullptr);
+  const std::uint32_t result = 0xfeedface;
+  ASSERT_TRUE(region->segment().WriteValue(kServer, 256, result).ok());
+
+  arena.reset();
+  std::fill(memory.begin(), memory.end(), 0);  // The arena's memory is gone.
+  EXPECT_EQ(region->arena(), nullptr);
+  std::uint32_t read = 0;
+  ASSERT_TRUE(region->segment().ReadValue(kClient, 256, &read).ok());
+  EXPECT_EQ(read, result);
+  EXPECT_TRUE(region->segment().Write(kClient, 0, &read, sizeof(read)).ok());
+}
 
 TEST(AStackRegionTest, PairWiseMappingIsAutomatic) {
   AStackRegion region(kClient, kServer, 256, 5, /*secondary=*/false);
