@@ -1,5 +1,7 @@
 #include "src/kern/binding_table.h"
 
+#include "src/common/check.h"
+
 namespace lrpc {
 
 BindingRecord& BindingTable::Create(DomainId client, DomainId server,
@@ -16,40 +18,10 @@ BindingRecord& BindingTable::Create(DomainId client, DomainId server,
   record->interface_id = interface_id;
   record->pdl = pdl;
   record->remote = remote;
+  LRPC_CHECK_OK(index_.AddEntry(record->id, record->nonce, client,
+                                /*revoked=*/false, record.get()));
   records_.push_back(std::move(record));
   return *records_.back();
-}
-
-Result<BindingRecord*> BindingTable::Validate(const BindingObject& object,
-                                              DomainId caller) {
-  LRPC_RETURN_IF_ERROR(CheckValidate(object, caller));
-  BindingRecord* record = records_[static_cast<std::size_t>(object.id)].get();
-  // Injection point: revocation strikes at the instant the object would
-  // have validated — the worst possible moment for the caller.
-  if (FaultPointFires(injector_, FaultKind::kBindingRevocation)) {
-    record->revoked = true;
-    return Status(ErrorCode::kRevokedBinding, "fault injection: revoked");
-  }
-  return record;
-}
-
-Status BindingTable::CheckValidate(const BindingObject& object,
-                                   DomainId caller) const {
-  if (object.id < 0 || static_cast<std::size_t>(object.id) >= records_.size()) {
-    return Status(ErrorCode::kForgedBinding, "binding id out of range");
-  }
-  const BindingRecord* record =
-      records_[static_cast<std::size_t>(object.id)].get();
-  if (record->nonce != object.nonce) {
-    return Status(ErrorCode::kForgedBinding, "nonce mismatch");
-  }
-  if (record->client != caller) {
-    return Status(ErrorCode::kForgedBinding, "binding held by another domain");
-  }
-  if (record->revoked) {
-    return Status(ErrorCode::kRevokedBinding);
-  }
-  return Status::Ok();
 }
 
 BindingRecord* BindingTable::Find(BindingId id) {
@@ -59,6 +31,17 @@ BindingRecord* BindingTable::Find(BindingId id) {
   return records_[static_cast<std::size_t>(id)].get();
 }
 
+void BindingTable::Revoke(BindingId id) {
+  if (BindingRecord* record = Find(id)) {
+    RevokeRecord(*record);
+  }
+}
+
+void BindingTable::RevokeRecord(BindingRecord& record) {
+  record.revoked = true;
+  index_.Revoke(record.id);
+}
+
 std::vector<BindingRecord*> BindingTable::RevokeForDomain(DomainId domain) {
   std::vector<BindingRecord*> affected;
   for (auto& record : records_) {
@@ -66,7 +49,7 @@ std::vector<BindingRecord*> BindingTable::RevokeForDomain(DomainId domain) {
       continue;
     }
     if (record->client == domain || record->server == domain) {
-      record->revoked = true;
+      RevokeRecord(*record);
       affected.push_back(record.get());
     }
   }

@@ -21,6 +21,7 @@
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/kern/sharded_binding_table.h"
 #include "src/shm/astack.h"
 #include "src/sim/fault_injector.h"
 
@@ -52,24 +53,46 @@ struct BindingObject {
   bool valid() const { return id != kNoBinding; }
 };
 
+// Every engine validates through the table's seqlock index (the
+// lock-free read docs/concurrency.md describes, behind a per-thread
+// validation cache); the records themselves stay single-writer and never
+// move.
 class BindingTable {
  public:
   explicit BindingTable(std::uint64_t seed) : rng_(seed) {}
 
+  // Creates the record and publishes its index entry.
   BindingRecord& Create(DomainId client, DomainId server,
                         InterfaceId interface_id, const void* pdl, bool remote);
 
-  // Call-time validation: detects forged, revoked, and stolen bindings.
-  // The kBindingRevocation injection point lives here: a fault revokes the
-  // record at the instant it would otherwise have validated.
-  Result<BindingRecord*> Validate(const BindingObject& object, DomainId caller);
+  // Call-time validation: detects forged, revoked, and stolen bindings,
+  // through the calling thread's binding cache. The kBindingRevocation
+  // injection point lives here: a fault revokes the binding at the instant
+  // it would otherwise have validated.
+  Result<BindingRecord*> Validate(const BindingObject& object,
+                                  DomainId caller) {
+    Result<BindingRecord*> validated = index_.ValidateCached(object, caller);
+    if (validated.ok() &&
+        FaultPointFires(injector_, FaultKind::kBindingRevocation)) {
+      Revoke(object.id);
+      return Status(ErrorCode::kRevokedBinding, "fault injection: revoked");
+    }
+    return validated;
+  }
 
-  // The same checks with no side effects and no fault injection; the
-  // invariant checker uses it to prove revoked nonces never validate.
-  Status CheckValidate(const BindingObject& object, DomainId caller) const;
+  // The same checks with no side effects — no cache fill, no counters, no
+  // fault injection — on the index the call leg reads; the invariant
+  // checker uses it to prove revoked nonces never validate.
+  Status CheckValidate(const BindingObject& object, DomainId caller) const {
+    return index_.CheckValidate(object, caller).status();
+  }
 
   // Lookup without the capability check (kernel-internal).
   BindingRecord* Find(BindingId id);
+
+  // Revokes one binding: the record and its index entry together.
+  // Thread-safe against concurrent validation.
+  void Revoke(BindingId id);
 
   // Revokes every binding in which `domain` participates; returns the
   // affected records so the collector can invalidate their linkages.
@@ -86,10 +109,25 @@ class BindingTable {
   // Installed by Kernel::set_fault_injector; null means no injection.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
+  // Selects the index's single-lock baseline (false) or its lock-free read;
+  // only while no other thread uses the table.
+  void set_lock_free(bool lock_free) { index_.set_lock_free(lock_free); }
+
+  // The index's counters and shard balance (docs/concurrency.md).
+  std::uint64_t validations() const { return index_.validations(); }
+  std::uint64_t cache_hits() const { return index_.cache_hits(); }
+  std::uint64_t seq_retries() const { return index_.seq_retries(); }
+  ShardedBindingTable::Occupancy MeasureOccupancy() const {
+    return index_.MeasureOccupancy();
+  }
+
  private:
+  void RevokeRecord(BindingRecord& record);
+
   Rng rng_;
   FaultInjector* injector_ = nullptr;
   std::vector<std::unique_ptr<BindingRecord>> records_;
+  ShardedBindingTable index_;
 };
 
 }  // namespace lrpc

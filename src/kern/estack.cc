@@ -9,16 +9,6 @@ namespace lrpc {
 // carries an explicit allowance (rule lrpc-fast-path).
 LRPC_FAST_PATH_BEGIN("estack claim/release");
 
-int EStackPool::associated_count() const {
-  int count = 0;
-  for (const auto& s : stacks_) {
-    if (s.associated) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 EStack* EStackPool::FindUnassociated() {
   for (auto& s : stacks_) {
     if (!s.associated) {
@@ -40,30 +30,12 @@ Result<int> EStackPool::Allocate() {
   return s.id;
 }
 
-bool EStackPool::RunningLow(int threshold) const {
-  const int headroom = (capacity_ - allocated()) +
-                       (allocated() - associated_count());
-  return headroom < threshold;
-}
-
-void EStackPool::MarkAssociated(int id, SimTime now) {
-  auto& s = stacks_[static_cast<std::size_t>(id)];
-  s.associated = true;
-  s.last_used = now;
+void EStackPool::MarkAssociated(int id) {
+  stacks_[static_cast<std::size_t>(id)].associated = true;
 }
 
 void EStackPool::MarkUnassociated(int id) {
   stacks_[static_cast<std::size_t>(id)].associated = false;
-}
-
-EStack* EStackPool::OldestAssociated() {
-  EStack* oldest = nullptr;
-  for (auto& s : stacks_) {
-    if (s.associated && (oldest == nullptr || s.last_used < oldest->last_used)) {
-      oldest = &s;
-    }
-  }
-  return oldest;
 }
 
 LRPC_FAST_PATH_END("estack claim/release");

@@ -16,7 +16,6 @@
 
 #include "src/common/ids.h"
 #include "src/common/status.h"
-#include "src/sim/time.h"
 
 namespace lrpc {
 
@@ -24,7 +23,6 @@ struct EStack {
   int id = -1;
   std::size_t size = 0;
   bool associated = false;   // Currently associated with some A-stack.
-  SimTime last_used = 0;
 };
 
 // The pool of E-stacks belonging to one server domain. The pool's capacity
@@ -40,7 +38,6 @@ class EStackPool {
   std::size_t estack_size() const { return estack_size_; }
   int capacity() const { return capacity_; }
   int allocated() const { return static_cast<int>(stacks_.size()); }
-  int associated_count() const;
 
   // An already-allocated E-stack with no current A-stack association, or
   // nullptr.
@@ -52,18 +49,10 @@ class EStackPool {
   EStack& stack(int id) { return stacks_[static_cast<std::size_t>(id)]; }
   const EStack& stack(int id) const { return stacks_[static_cast<std::size_t>(id)]; }
 
-  // True when fewer than `threshold` E-stacks remain allocatable or
-  // unassociated — the trigger for reclamation.
-  bool RunningLow(int threshold) const;
-
-  // Marks `id` associated and stamps its use time.
-  void MarkAssociated(int id, SimTime now);
+  // Marks `id` associated (the A-stack side records the use time).
+  void MarkAssociated(int id);
   // Breaks the association (the A-stack side is the caller's to clear).
   void MarkUnassociated(int id);
-
-  // The associated E-stack with the oldest last_used, or nullptr; the
-  // reclamation candidate.
-  EStack* OldestAssociated();
 
  private:
   std::size_t estack_size_;

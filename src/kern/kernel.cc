@@ -208,126 +208,92 @@ Result<int> Kernel::EnsureEStack(Domain& server, const AStackRef& ref,
 Result<int> Kernel::EnsureEStackImpl(Domain& server, const AStackRef& ref,
                                      SimTime now) {
   AStackRegion& region = *ref.region;
-  // Fast path: the association survives across calls precisely so that this
-  // lookup is all a repeat call pays (Section 3.2).
+  // Repeat call: the association survives across calls precisely so that
+  // this lookup is all a repeat call pays (Section 3.2). It touches only
+  // state the caller owns through its A-stack (popped off its free list),
+  // so it takes no lock on any engine.
   int estack_id = region.estack_of(ref.index);
   if (estack_id >= 0) {
-    server.estacks().MarkAssociated(estack_id, now);
     region.set_last_used(ref.index, now);
     return estack_id;
   }
 
+  // First call on this A-stack: associate under the kernel's mutex so the
+  // pool scans and the allocation are serialized. (Reclaim and steal are
+  // unreachable under real threads: see the provisioning rule in kernel.h.)
+  MutexLock guard(estack_association_mutex_);
   EStackPool& pool = server.estacks();
   // An allocated-but-unassociated E-stack?
-  if (EStack* free_stack = pool.FindUnassociated()) {
-    pool.MarkAssociated(free_stack->id, now);
-    region.set_estack(ref.index, free_stack->id);
-    region.set_last_used(ref.index, now);
-    return free_stack->id;
-  }
-  // Allocate a new one out of the server's budget.
-  Result<int> allocated = pool.Allocate();
-  if (!allocated.ok()) {
-    // Budget exhausted: reclaim associations idle for a while, then retry.
-    const SimTime cutoff = now - 50 * kMillisecond;
-    if (ReclaimEStacks(server, cutoff) == 0) {
-      // Nothing stale: steal the oldest association outright — but never
-      // from an A-stack with an outstanding call, whose thread is running
-      // on that E-stack right now.
-      std::vector<bool> busy(static_cast<std::size_t>(pool.allocated()));
-      for (AStackRegion* r : regions_) {
-        if (r->server() != server.id()) {
-          continue;
-        }
-        for (int i = 0; i < r->count(); ++i) {
-          const int in_use_estack = r->estack_of(i);
-          if (in_use_estack >= 0 && r->linkage(i).in_use) {
-            busy[static_cast<std::size_t>(in_use_estack)] = true;
-          }
-        }
-      }
-      EStack* oldest = nullptr;
-      for (int id = 0; id < pool.allocated(); ++id) {
-        EStack& candidate = pool.stack(id);
-        if (!candidate.associated || busy[static_cast<std::size_t>(id)]) {
-          continue;
-        }
-        if (oldest == nullptr || candidate.last_used < oldest->last_used) {
-          oldest = &candidate;
-        }
-      }
-      if (oldest == nullptr) {
-        // Every E-stack is under an active call: genuinely exhausted.
-        return Status(ErrorCode::kEStackExhausted);
-      }
-      pool.MarkUnassociated(oldest->id);
-      // Clear the A-stack side of the stolen association; that A-stack will
-      // lazily re-associate on its next call.
-      for (AStackRegion* r : regions_) {
-        if (r->server() != server.id()) {
-          continue;
-        }
-        for (int i = 0; i < r->count(); ++i) {
-          if (r->estack_of(i) == oldest->id) {
-            r->set_estack(i, -1);
-          }
-        }
-      }
+  EStack* free_stack = pool.FindUnassociated();
+  if (free_stack == nullptr) {
+    Result<int> allocated = pool.Allocate();
+    if (allocated.ok()) {
+      free_stack = &pool.stack(*allocated);
+    } else if (ReclaimEStacks(server, now - 50 * kMillisecond) > 0 ||
+               StealEStack(server)) {
+      // Budget exhausted: an association idle for a while was reclaimed,
+      // or the least recently used one was stolen outright.
+      free_stack = pool.FindUnassociated();
+    } else {
+      // Every E-stack is under an active call: genuinely exhausted.
+      return Status(ErrorCode::kEStackExhausted);
     }
-    EStack* free_stack = pool.FindUnassociated();
-    if (free_stack == nullptr) {
-      Result<int> retry = pool.Allocate();
-      if (!retry.ok()) {
-        return retry.status();
-      }
-      pool.MarkAssociated(*retry, now);
-      region.set_estack(ref.index, *retry);
-      region.set_last_used(ref.index, now);
-      return *retry;
-    }
-    pool.MarkAssociated(free_stack->id, now);
-    region.set_estack(ref.index, free_stack->id);
-    region.set_last_used(ref.index, now);
-    return free_stack->id;
   }
-  pool.MarkAssociated(*allocated, now);
-  region.set_estack(ref.index, *allocated);
+  pool.MarkAssociated(free_stack->id);
+  region.set_estack(ref.index, free_stack->id);
   region.set_last_used(ref.index, now);
-  return *allocated;
+  return free_stack->id;
 }
 
-Result<int> Kernel::EnsureEStackParallel(Domain& server, const AStackRef& ref,
-                                         SimTime now) {
-  AStackRegion& region = *ref.region;
-  // Repeat-call fast path: everything touched here travels with ownership
-  // of the A-stack (popped off its free list), so no lock is needed. The
-  // pool-side MarkAssociated bookkeeping is skipped — the flag is already
-  // set, and the pool's recency stamps only feed reclamation, which the
-  // parallel mode never runs.
-  const int estack_id = region.estack_of(ref.index);
-  if (estack_id >= 0) {
-    region.set_last_used(ref.index, now);
-    return estack_id;
-  }
-  // First call on this A-stack: associate under the kernel's mutex so the
-  // pool scans and the allocation are serialized.
-  MutexLock guard(par_estack_mutex_);
+bool Kernel::StealEStack(Domain& server) {
+  // The victim is the association whose A-stack was used least recently —
+  // but never one whose A-stack has an outstanding call, whose thread is
+  // running on that E-stack right now.
   EStackPool& pool = server.estacks();
-  if (EStack* free_stack = pool.FindUnassociated()) {
-    pool.MarkAssociated(free_stack->id, now);
-    region.set_estack(ref.index, free_stack->id);
-    region.set_last_used(ref.index, now);
-    return free_stack->id;
+  const auto stacks = static_cast<std::size_t>(pool.allocated());
+  std::vector<bool> busy(stacks);
+  std::vector<SimTime> last_used(stacks);
+  for (AStackRegion* r : regions_) {
+    if (r->server() != server.id()) {
+      continue;
+    }
+    for (int i = 0; i < r->count(); ++i) {
+      const int estack = r->estack_of(i);
+      if (estack >= 0) {
+        busy[static_cast<std::size_t>(estack)] =
+            busy[static_cast<std::size_t>(estack)] || r->linkage(i).in_use;
+        last_used[static_cast<std::size_t>(estack)] = r->last_used(i);
+      }
+    }
   }
-  Result<int> allocated = pool.Allocate();
-  if (!allocated.ok()) {
-    return Status(ErrorCode::kEStackExhausted,
-                  "parallel mode: E-stack budget below the A-stack set");
+  int oldest = -1;
+  for (int id = 0; id < pool.allocated(); ++id) {
+    const auto slot = static_cast<std::size_t>(id);
+    if (!pool.stack(id).associated || busy[slot]) {
+      continue;
+    }
+    if (oldest < 0 ||
+        last_used[slot] < last_used[static_cast<std::size_t>(oldest)]) {
+      oldest = id;
+    }
   }
-  pool.MarkAssociated(*allocated, now);
-  region.set_estack(ref.index, *allocated);
-  region.set_last_used(ref.index, now);
-  return *allocated;
+  if (oldest < 0) {
+    return false;
+  }
+  pool.MarkUnassociated(oldest);
+  // Clear the A-stack side of the stolen association; that A-stack will
+  // lazily re-associate on its next call.
+  for (AStackRegion* r : regions_) {
+    if (r->server() != server.id()) {
+      continue;
+    }
+    for (int i = 0; i < r->count(); ++i) {
+      if (r->estack_of(i) == oldest) {
+        r->set_estack(i, -1);
+      }
+    }
+  }
+  return true;
 }
 
 int Kernel::ReclaimEStacks(Domain& server, SimTime cutoff) {

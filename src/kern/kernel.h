@@ -168,20 +168,16 @@ class Kernel {
   // --- E-stack management (Section 3.2). ---
   // Ensures `ref` has an associated E-stack in `server`, lazily associating
   // or allocating one, and reclaiming stale associations when the supply
-  // runs low. Returns the E-stack id.
+  // runs low. Returns the E-stack id. The same function on every engine:
+  // a repeat call — the association already exists — writes only state the
+  // caller owns through its A-stack and takes no lock; a first association
+  // runs under the kernel's mutex. Reclaim and steal rewrite other
+  // A-stacks' associations, so real-thread worlds must provision each
+  // server's budget to cover its A-stacks (ParallelMachine::AdoptWorld
+  // checks), which keeps them from ever running there.
   Result<int> EnsureEStack(Domain& server, const AStackRef& ref, SimTime now);
   // Breaks the E-stack association of A-stacks not used since `cutoff`.
   int ReclaimEStacks(Domain& server, SimTime cutoff);
-
-  // EnsureEStack for the real-thread engine (docs/concurrency.md). The
-  // repeat-call fast path — the association already exists — touches only
-  // state the caller owns through its A-stack, so it takes no lock; the
-  // first call on an A-stack associates under a kernel mutex, with no
-  // reclamation or stealing (parallel worlds provision each server's
-  // E-stack budget to cover its A-stack set, so Allocate cannot run dry
-  // while other A-stacks' associations must stay untouched).
-  Result<int> EnsureEStackParallel(Domain& server, const AStackRef& ref,
-                                   SimTime now);
 
   // --- A-stack allocation (bind time; Section 3.1). ---
   // Allocates a contiguous region of `count` A-stacks of `size` bytes,
@@ -216,6 +212,9 @@ class Kernel {
   // EnsureEStack minus the injection point and the event notification.
   Result<int> EnsureEStackImpl(Domain& server, const AStackRef& ref,
                                SimTime now);
+  // Breaks the association of the least recently used A-stack with no
+  // outstanding call; false when every E-stack is under an active call.
+  bool StealEStack(Domain& server);
 
  public:
 
@@ -288,12 +287,12 @@ class Kernel {
   FaultInjector* fault_injector_ = nullptr;
   KernelEventListener* listener_ = nullptr;
   std::atomic<std::uint64_t> linkage_seq_{0};
-  // Guards first-call E-stack association under the real-thread engine.
-  // The guarded state (the server's EStackPool and the region's estack
-  // slots) lives behind references the analysis cannot name, so the
-  // capability is documented here and held via MutexLock in
-  // EnsureEStackParallel rather than spelled as GUARDED_BY.
-  Mutex par_estack_mutex_;
+  // Guards first-call E-stack association on every engine. The guarded
+  // state (the server's EStackPool and the regions' estack slots) lives
+  // behind references the analysis cannot name, so the capability is
+  // documented here and held via MutexLock in EnsureEStackImpl rather than
+  // spelled as GUARDED_BY.
+  Mutex estack_association_mutex_;
   bool domain_caching_ = true;
   int auto_prod_threshold_ = 0;
   int misses_since_prod_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/kern/binding_table.h"
 
 namespace lrpc {
 
@@ -14,7 +15,7 @@ namespace {
 // thread-private, so probes and fills need no synchronization of their own;
 // the generation tag carries all cross-thread invalidation.
 struct CachedValidation {
-  const void* table = nullptr;  // Which mirror the entry came from.
+  const void* table = nullptr;  // Which table the entry came from.
   std::uint64_t generation = 0;
   BindingId id = kNoBinding;
   std::uint64_t nonce = 0;
@@ -36,7 +37,6 @@ CachedValidation& CacheSlotFor(BindingId id) {
 ShardedBindingTable::ShardedBindingTable(Options options)
     : options_(options) {
   LRPC_CHECK(options_.shards > 0);
-  LRPC_CHECK(options_.max_bindings > 0);
   // Seed the generation from a process-wide epoch so a table constructed at
   // a freed table's address can never match a thread's cached entries from
   // the old instance (the cache keys on the table pointer + generation).
@@ -45,52 +45,60 @@ ShardedBindingTable::ShardedBindingTable(Options options)
                                           // LRPC_MO(unique-id)
                                           std::memory_order_relaxed),
                     std::memory_order_relaxed);  // LRPC_MO(setup-single-thread)
-  slots_per_shard_ =
-      (options_.max_bindings + options_.shards - 1) / options_.shards;
-  shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(options_.shards));
-  for (int s = 0; s < options_.shards; ++s) {
-    shards_[static_cast<std::size_t>(s)].entries =
-        std::make_unique<Entry[]>(static_cast<std::size_t>(slots_per_shard_));
+  shards_ = std::make_unique<Mutex[]>(static_cast<std::size_t>(options_.shards));
+}
+
+ShardedBindingTable::~ShardedBindingTable() {
+  for (std::atomic<Entry*>& chunk : chunks_) {
+    delete[] chunk.load(std::memory_order_acquire);
   }
 }
 
 ShardedBindingTable::Entry* ShardedBindingTable::FindEntry(
     BindingId id) const {
-  if (id < 0 || id >= static_cast<BindingId>(options_.max_bindings)) {
+  if (id < 0 || static_cast<std::size_t>(id) / kChunkEntries >= kMaxChunks) {
     return nullptr;
   }
-  const auto slot = static_cast<std::size_t>(
-      id / static_cast<BindingId>(options_.shards));
-  return &shard_of(id).entries[slot];
+  const auto index = static_cast<std::size_t>(id);
+  // Acquire pairs with the release that published the chunk, so its
+  // empty entries are initialized before any of them is read.
+  Entry* chunk =
+      chunks_[index / kChunkEntries].load(std::memory_order_acquire);
+  return chunk != nullptr ? &chunk[index % kChunkEntries] : nullptr;
 }
 
-void ShardedBindingTable::MirrorFrom(BindingTable& table) {
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    BindingRecord* record = table.Find(static_cast<BindingId>(i));
-    LRPC_CHECK(record != nullptr);
-    const Status added = AddEntry(record->id, record->nonce, record->client,
-                                  record->revoked, record);
-    LRPC_CHECK(added.ok());
+ShardedBindingTable::Entry* ShardedBindingTable::EntryForWrite(BindingId id) {
+  if (id < 0 || static_cast<std::size_t>(id) / kChunkEntries >= kMaxChunks) {
+    return nullptr;
   }
+  const auto index = static_cast<std::size_t>(id);
+  MutexLock guard(growth_mutex_);
+  std::atomic<Entry*>& slot = chunks_[index / kChunkEntries];
+  Entry* chunk = slot.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    chunk = new Entry[kChunkEntries];
+    slot.store(chunk, std::memory_order_release);
+  }
+  return &chunk[index % kChunkEntries];
 }
 
 Status ShardedBindingTable::AddEntry(BindingId id, std::uint64_t nonce,
                                      DomainId client, bool revoked,
                                      BindingRecord* record) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = EntryForWrite(id);
   if (entry == nullptr) {
     return Status(ErrorCode::kInvalidArgument,
-                  "binding id beyond the mirror's capacity");
+                  "binding id beyond the table's capacity");
   }
   std::unique_lock<std::mutex> global;
   if (!options_.lock_free) {
     global = std::unique_lock<std::mutex>(global_mutex_);
   }
-  MutexLock guard(shard_of(id).mutex);
+  MutexLock guard(shard_mutex(id));
   // LRPC_MO(seqlock-writer-seq)
   const std::uint64_t seq = entry->seq.load(std::memory_order_relaxed);
   if (seq != 0) {
-    return Status(ErrorCode::kInvalidArgument, "binding id already mirrored");
+    return Status(ErrorCode::kInvalidArgument, "binding id already present");
   }
   // Odd first: a concurrent reader retries rather than consuming a
   // half-written entry; the final even store publishes it.
@@ -114,6 +122,17 @@ Result<BindingRecord*> ShardedBindingTable::Validate(
     const BindingObject& object, DomainId caller) const {
   // LRPC_MO(stat-counter)
   validations_.fetch_add(1, std::memory_order_relaxed);
+  return Read(object, caller, /*counted=*/true);
+}
+
+Result<BindingRecord*> ShardedBindingTable::CheckValidate(
+    const BindingObject& object, DomainId caller) const {
+  return Read(object, caller, /*counted=*/false);
+}
+
+Result<BindingRecord*> ShardedBindingTable::Read(const BindingObject& object,
+                                                 DomainId caller,
+                                                 bool counted) const {
   const Entry* entry = FindEntry(object.id);
   if (entry == nullptr) {
     return Status(ErrorCode::kForgedBinding, "binding id out of range");
@@ -128,8 +147,10 @@ Result<BindingRecord*> ShardedBindingTable::Validate(
       return Status(ErrorCode::kForgedBinding, "binding id out of range");
     }
     if ((s1 & 1) != 0) {
-      // LRPC_MO(stat-counter)
-      seq_retries_.fetch_add(1, std::memory_order_relaxed);
+      if (counted) {
+        // LRPC_MO(stat-counter)
+        seq_retries_.fetch_add(1, std::memory_order_relaxed);
+      }
       continue;
     }
     // LRPC_MO(seqlock-field)
@@ -142,8 +163,10 @@ Result<BindingRecord*> ShardedBindingTable::Validate(
     BindingRecord* record = entry->record.load(std::memory_order_relaxed);
     const std::uint64_t s2 = entry->seq.load(std::memory_order_acquire);
     if (s1 != s2) {
-      // LRPC_MO(stat-counter)
-      seq_retries_.fetch_add(1, std::memory_order_relaxed);
+      if (counted) {
+        // LRPC_MO(stat-counter)
+        seq_retries_.fetch_add(1, std::memory_order_relaxed);
+      }
       continue;
     }
     if (nonce != object.nonce) {
@@ -196,19 +219,19 @@ Result<BindingRecord*> ShardedBindingTable::ValidateCached(
 ShardedBindingTable::Occupancy ShardedBindingTable::MeasureOccupancy() const {
   Occupancy occ;
   occ.per_shard.assign(static_cast<std::size_t>(options_.shards), 0);
-  for (int s = 0; s < options_.shards; ++s) {
-    const Shard& shard = shards_[static_cast<std::size_t>(s)];
-    std::size_t occupied = 0;
-    for (int i = 0; i < slots_per_shard_; ++i) {
-      const std::uint64_t seq =
-          shard.entries[static_cast<std::size_t>(i)].seq.load(
-              std::memory_order_acquire);
+  for (std::size_t c = 0; c < kMaxChunks; ++c) {
+    const Entry* chunk = chunks_[c].load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      continue;
+    }
+    for (std::size_t i = 0; i < kChunkEntries; ++i) {
+      const std::uint64_t seq = chunk[i].seq.load(std::memory_order_acquire);
       if (seq != 0 && (seq & 1) == 0) {
-        ++occupied;
+        const std::size_t id = c * kChunkEntries + i;
+        ++occ.per_shard[id % static_cast<std::size_t>(options_.shards)];
+        ++occ.total;
       }
     }
-    occ.per_shard[static_cast<std::size_t>(s)] = occupied;
-    occ.total += occupied;
   }
   occ.min_shard = occ.per_shard[0];
   occ.max_shard = occ.per_shard[0];
@@ -228,7 +251,7 @@ void ShardedBindingTable::Revoke(BindingId id) {
   if (!options_.lock_free) {
     global = std::unique_lock<std::mutex>(global_mutex_);
   }
-  MutexLock guard(shard_of(id).mutex);
+  MutexLock guard(shard_mutex(id));
   // LRPC_MO(seqlock-writer-seq)
   const std::uint64_t seq = entry->seq.load(std::memory_order_relaxed);
   if (seq == 0) {

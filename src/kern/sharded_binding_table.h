@@ -1,10 +1,10 @@
-// Sharded Binding Object validation for the real-thread engine
+// The seqlock index behind the kernel's Binding Object table
 // (docs/concurrency.md).
 //
 // Binding validation sits on the call leg of every LRPC (Section 3.2), so
-// under real host threads it must not funnel through a table-wide lock. This
-// table keeps a fixed-capacity mirror of the kernel's BindingTable, sharded
-// by id, with a per-entry sequence counter:
+// under real host threads it must not funnel through a table-wide lock.
+// BindingTable keeps one of these as its private index: an entry per
+// binding id, sharded by id for writers, with a per-entry sequence counter:
 //
 //   reader    load seq (acquire); odd -> a writer is mid-update, retry;
 //             read nonce/holder/revoked; reload seq (acquire); a changed
@@ -18,15 +18,21 @@
 // the atomicity only keeps the individual loads untorn — which keeps the
 // scheme exact under ThreadSanitizer rather than "benign-race" folklore.
 //
-// The mutating operations (mirror, create, revoke) are the uncommon cases;
-// validation, the per-call operation, takes no lock in lock-free mode. The
-// single-mutex variant is kept behind the `lock_free` option as the
-// contention baseline bench_mt_throughput compares against.
+// Entries live in fixed-size chunks that never move once allocated: a
+// fixed directory holds the chunk pointers, each published with release
+// when the first id in it is added, so the index grows without ever
+// resizing storage a reader may be walking.
+//
+// The mutating operations (add, revoke) are the uncommon cases; validation,
+// the per-call operation, takes no lock in lock-free mode. The single-mutex
+// variant is kept behind `lock_free` as the contention baseline
+// bench_mt_throughput compares against.
 
 #ifndef SRC_KERN_SHARDED_BINDING_TABLE_H_
 #define SRC_KERN_SHARDED_BINDING_TABLE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -36,30 +42,32 @@
 #include "src/common/thread_annotations.h"
 #include "src/common/ids.h"
 #include "src/common/status.h"
-#include "src/kern/binding_table.h"
 
 namespace lrpc {
 
+struct BindingObject;
+struct BindingRecord;
+
 class ShardedBindingTable {
  public:
+  // Writer shards of the kernel's table.
+  static constexpr int kShards = 16;
+
   struct Options {
-    int shards = 16;
+    int shards = kShards;
     bool lock_free = true;
-    // Ids beyond this never validate; sized at construction so no operation
-    // resizes shared storage.
-    int max_bindings = 256;
   };
 
   ShardedBindingTable() : ShardedBindingTable(Options()) {}
   explicit ShardedBindingTable(Options options);
+  ~ShardedBindingTable();
 
-  // Copies every record of `table` into the mirror (setup, or any moment
-  // when no validators are running). Entries keep a pointer to the kernel's
-  // real BindingRecord, which stays the owner of regions and interface data.
-  void MirrorFrom(BindingTable& table);
+  ShardedBindingTable(const ShardedBindingTable&) = delete;
+  ShardedBindingTable& operator=(const ShardedBindingTable&) = delete;
 
-  // Adds one entry (MirrorFrom uses this; property tests drive it
-  // directly). Thread-safe against concurrent Validate.
+  // Publishes one entry; `record` stays owned by the caller. Thread-safe
+  // against concurrent Validate. kInvalidArgument for an id already
+  // present or beyond the directory's reach.
   Status AddEntry(BindingId id, std::uint64_t nonce, DomainId client,
                   bool revoked, BindingRecord* record);
 
@@ -71,12 +79,16 @@ class ShardedBindingTable {
   // Validate through the calling thread's binding cache (docs/fast_path.md):
   // a repeat call through the same (binding, caller) pair skips the seqlock
   // read entirely when the table's generation has not moved since the cached
-  // full validation. Every mutation (AddEntry, Revoke, MirrorFrom) bumps the
-  // generation with release; the cache probe loads it with acquire, so a
-  // thread that has observed a revocation by any means can never hit a stale
-  // entry. Same statuses as Validate.
+  // full validation. Every mutation (AddEntry, Revoke) bumps the generation
+  // with release; the cache probe loads it with acquire, so a thread that
+  // has observed a revocation by any means can never hit a stale entry.
+  // Same statuses as Validate.
   Result<BindingRecord*> ValidateCached(const BindingObject& object,
                                         DomainId caller) const;
+
+  // The same verdict with no side effects: no counters, no cache fill.
+  Result<BindingRecord*> CheckValidate(const BindingObject& object,
+                                       DomainId caller) const;
 
   // Marks `id` revoked. Thread-safe against concurrent Validate.
   void Revoke(BindingId id);
@@ -86,8 +98,9 @@ class ShardedBindingTable {
     return generation_.load(std::memory_order_acquire);
   }
 
-  bool lock_free() const { return options_.lock_free; }
-  int shard_count() const { return options_.shards; }
+  // Selects the lock-free read or the single-lock baseline. Only while no
+  // other thread uses the table (the engine's adoption, before workers).
+  void set_lock_free(bool lock_free) { options_.lock_free = lock_free; }
   std::uint64_t validations() const {
     // LRPC_MO(stat-counter)
     return validations_.load(std::memory_order_relaxed);
@@ -129,20 +142,33 @@ class ShardedBindingTable {
   };
   static_assert(sizeof(Entry) == kCacheLineSize,
                 "binding-table entry layout audit: one line per entry");
-  struct Shard {
-    Mutex mutex;  // Writers only (lock-free mode).
-    std::unique_ptr<Entry[]> entries;
-  };
 
+  // 256 ids per chunk (16 KiB), 1024 chunks: room for 262144 bindings,
+  // for an 8 KiB directory and one chunk per 256 bindings actually made.
+  static constexpr std::size_t kChunkEntries = 256;
+  static constexpr std::size_t kMaxChunks = 1024;
+
+  // The entry for `id`, or null when its chunk was never allocated.
   Entry* FindEntry(BindingId id) const;
-  Shard& shard_of(BindingId id) const {
+  // The entry for `id`, allocating and publishing its chunk if needed;
+  // null beyond the directory.
+  Entry* EntryForWrite(BindingId id);
+  Mutex& shard_mutex(BindingId id) const {
     return shards_[static_cast<std::size_t>(
         id % static_cast<BindingId>(options_.shards))];
   }
+  // The shared seqlock read behind Validate and CheckValidate; `counted`
+  // selects whether retries feed seq_retries().
+  Result<BindingRecord*> Read(const BindingObject& object, DomainId caller,
+                              bool counted) const;
 
   Options options_;
-  int slots_per_shard_;
-  mutable std::unique_ptr<Shard[]> shards_;
+  std::atomic<Entry*> chunks_[kMaxChunks] = {};
+  // Serializes chunk allocation across shards (ids of one chunk span every
+  // shard); taken by AddEntry only.
+  Mutex growth_mutex_;
+  // Writers only (lock-free mode).
+  mutable std::unique_ptr<Mutex[]> shards_;
   // The baseline's single table-wide lock (locked mode only). Locked
   // conditionally (std::unique_lock, engaged only when !lock_free), a shape
   // the static analysis cannot follow, so it stays a raw std::mutex; the

@@ -389,14 +389,11 @@ bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
   kernel_.ChargeTrap(cpu);
 
   // --- Kernel, call leg: executed in the context of the client's thread.
-  // Verify the Binding once. In parallel mode the leg validates against the
-  // sharded mirror through the per-thread binding cache: a repeat call
-  // skips even the seqlock read until a table mutation bumps the
+  // Verify the Binding once, through the per-thread binding cache: a repeat
+  // call skips even the seqlock read until a table mutation bumps the
   // generation (docs/fast_path.md). ---
   Result<BindingRecord*> record_result =
-      par_bindings_ != nullptr
-          ? par_bindings_->ValidateCached(binding.object(), binding.client())
-          : kernel_.bindings().Validate(binding.object(), binding.client());
+      kernel_.bindings().Validate(binding.object(), binding.client());
   BindingRecord* record = record_result.ok() ? *record_result : nullptr;
   int entered = 0;
   for (PendingCall& call : calls) {
@@ -442,10 +439,7 @@ bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
     // Find an execution stack in the server's domain (lazy A-stack/E-stack
     // association).
     Domain& server = kernel_.domain(record->server);
-    Result<int> estack =
-        backend_ == RuntimeBackend::kParallelHost
-            ? kernel_.EnsureEStackParallel(server, call.astack, cpu.clock())
-            : kernel_.EnsureEStack(server, call.astack, cpu.clock());
+    Result<int> estack = kernel_.EnsureEStack(server, call.astack, cpu.clock());
     if (!estack.ok()) {
       Retire(cpu, t, call, estack.status(), /*requeue=*/true);
       continue;
@@ -473,8 +467,7 @@ bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
   // instead of this thread branching into the handler. A call whose
   // A-stack is not arena-backed (oversized A-stacks) or that spilled
   // out-of-band executes in-process as on the other backends.
-  if (backend_ == RuntimeBackend::kMultiProcess && proc_ != nullptr &&
-      proc_->Serves(record->server)) {
+  if (proc_ != nullptr && proc_->Serves(record->server)) {
     PendingCall* routed[kMaxLegCalls];
     std::size_t n = 0;
     for (PendingCall& call : calls) {

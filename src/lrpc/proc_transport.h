@@ -96,24 +96,11 @@ class ProcTransport {
   // handler's real result). Per-call outcomes land in each entry's
   // `leg`/`handler_status`; the return value reports only a transport-setup
   // failure of the batch as a whole. `kill` arms at most one SIGKILL for
-  // the whole batch. The default implementation loops Execute, preserving
-  // exact semantics for transports that predate batching; ProcHost
-  // overrides it with the single-doorbell protocol (src/proc/proc_host.cc).
+  // the whole batch. ProcHost implements it with the single-doorbell
+  // protocol (src/proc/proc_host.cc).
   virtual Status ExecuteBatch(DomainId server, DomainId client,
                               std::span<BatchCall> calls,
-                              KillPhase kill = KillPhase::kNone) {
-    for (BatchCall& call : calls) {
-      if (!Serves(server)) {
-        call.leg = Status(ErrorCode::kPeerDied, "server process already dead");
-        continue;
-      }
-      call.leg = Execute(server, client, call.procedure, call.inline_window,
-                         call.window, call.window_len, &call.handler_status,
-                         kill);
-      kill = KillPhase::kNone;  // At most one induced death per batch.
-    }
-    return Status::Ok();
-  }
+                              KillPhase kill = KillPhase::kNone) = 0;
 
   // Idempotent teardown hook: the runtime's TerminateDomain calls this so a
   // termination initiated from the simulated side also kills, reaps and

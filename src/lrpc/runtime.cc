@@ -54,6 +54,11 @@ Status LrpcRuntime::Export(Interface* iface) {
 
 Result<ClientBinding*> LrpcRuntime::Import(Processor& cpu, DomainId client_id,
                                            std::string_view name) {
+  if (adopted_) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "the real-thread engine has adopted this world; import "
+                  "before ParallelMachine::AdoptWorld");
+  }
   Domain* client = kernel_.FindDomain(client_id);
   if (client == nullptr || !client->alive()) {
     return Status(ErrorCode::kNoSuchDomain, "importing domain not alive");
@@ -103,7 +108,7 @@ Result<ClientBinding*> LrpcRuntime::Import(Processor& cpu, DomainId client_id,
         // The server's A-stack arena is full: the import fails whole,
         // giving back what it carved, and the dead binding never validates.
         kernel_.ReleaseAStacks(record);
-        record.revoked = true;
+        kernel_.bindings().Revoke(record.id);
         return Status(ErrorCode::kOutOfMemory,
                       "server's A-stack arena cannot hold the binding");
       }

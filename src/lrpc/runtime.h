@@ -28,7 +28,6 @@
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/kern/kernel.h"
-#include "src/kern/sharded_binding_table.h"
 #include "src/lrpc/call_tracer.h"
 #include "src/lrpc/clerk.h"
 #include "src/lrpc/client_binding.h"
@@ -118,7 +117,8 @@ class LrpcRuntime {
   // --- Client side (binding; Section 3.1). ---
   // Imports `name`, running the kernel-mediated handshake with the server's
   // clerk; allocates the bind-time A-stacks pair-wise shared between the
-  // two domains. Returns a runtime-owned binding.
+  // two domains. Returns a runtime-owned binding; kInvalidArgument once the
+  // real-thread engine has adopted the world (MarkAdopted).
   Result<ClientBinding*> Import(Processor& cpu, DomainId client,
                                 std::string_view name);
 
@@ -181,12 +181,11 @@ class LrpcRuntime {
                             const void* block_in, void* block_out,
                             CallStats& stats);
 
-  // Installs the sharded mirror the call leg validates against in parallel
-  // mode (non-owning; the ParallelMachine owns it). Null detaches.
-  void AttachShardedBindings(ShardedBindingTable* table) {
-    par_bindings_ = table;
-  }
-  ShardedBindingTable* sharded_bindings() { return par_bindings_; }
+  // Marks the world as adopted by the real-thread engine
+  // (ParallelMachine::AdoptWorld): from here on Import refuses, since a new
+  // binding would have no real-thread free list and its calls would pop the
+  // simulated queue from real threads.
+  void MarkAdopted() { adopted_ = true; }
 
   // --- Multi-process backend (src/proc, docs/multiprocess.md). ---
   // Installs the transport the server-execution leg routes through on the
@@ -338,7 +337,7 @@ class LrpcRuntime {
 
   Kernel& kernel_;
   RuntimeBackend backend_ = RuntimeBackend::kDeterministicSim;
-  ShardedBindingTable* par_bindings_ = nullptr;
+  bool adopted_ = false;
   ProcTransport* proc_ = nullptr;
   NameServer names_;
   std::vector<std::unique_ptr<Interface>> interfaces_;

@@ -158,14 +158,12 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
     par_options.lock_free = options_.lock_free;
     par_ = std::make_unique<ParallelMachine>(*runtime_, par_options);
     par_->AdoptWorld();
-    for (int p = 0; p < options_.parked; ++p) {
-      par_->ParkIdle(options_.workers + p, server_);
-    }
-  } else {
-    for (int p = 0; p < options_.parked; ++p) {
-      kernel_->ParkIdleProcessor(machine_->processor(options_.workers + p),
-                                 server_);
-    }
+  }
+  // After adoption, so on the parallel backend each parked processor is
+  // published to the claim registry.
+  for (int p = 0; p < options_.parked; ++p) {
+    kernel_->ParkIdleProcessor(machine_->processor(options_.workers + p),
+                               server_);
   }
 }
 

@@ -9,20 +9,8 @@
 
 namespace lrpc {
 
-namespace {
-
-ShardedBindingTable::Options TableOptions(const ParallelOptions& options) {
-  ShardedBindingTable::Options table;
-  table.shards = options.binding_shards;
-  table.lock_free = options.lock_free;
-  table.max_bindings = options.max_bindings;
-  return table;
-}
-
-}  // namespace
-
 ParallelMachine::ParallelMachine(LrpcRuntime& runtime, ParallelOptions options)
-    : runtime_(runtime), options_(options), bindings_(TableOptions(options)) {
+    : runtime_(runtime), options_(options) {
   LRPC_CHECK(runtime_.backend() == RuntimeBackend::kParallelHost);
   LRPC_CHECK(options_.workers >= 1);
   LRPC_CHECK(runtime_.machine().processor_count() >= options_.workers);
@@ -38,8 +26,20 @@ void ParallelMachine::AdoptWorld() {
   runtime_.machine().EnableParallelIdle(
       static_cast<int>(kernel.domain_count()) + 1);
 
-  bindings_.MirrorFrom(kernel.bindings());
-  runtime_.AttachShardedBindings(&bindings_);
+  kernel.bindings().set_lock_free(options_.lock_free);
+  runtime_.MarkAdopted();
+
+  // E-stack reclaim and steal rewrite other A-stacks' associations, which
+  // concurrent callers own; a budget that covers every A-stack a server
+  // hosts keeps the first association from ever needing them.
+  std::vector<int> astacks(kernel.domain_count(), 0);
+  for (const AStackRegion* region : kernel.astack_regions()) {
+    astacks[static_cast<std::size_t>(region->server())] += region->count();
+  }
+  for (std::size_t d = 0; d < astacks.size(); ++d) {
+    LRPC_CHECK(astacks[d] <=
+               kernel.domain(static_cast<DomainId>(d)).estacks().capacity());
+  }
 
   for (const auto& binding : runtime_.bindings()) {
     if (binding->object().remote) {
@@ -66,13 +66,6 @@ void ParallelMachine::AdoptWorld() {
       free_lists_.push_back(std::move(list));
     }
   }
-}
-
-void ParallelMachine::ParkIdle(int cpu_index, DomainId domain) {
-  // After AdoptWorld so ParkIdleProcessor publishes to the claim registry.
-  LRPC_CHECK(adopted_);
-  runtime_.kernel().ParkIdleProcessor(runtime_.machine().processor(cpu_index),
-                                      domain);
 }
 
 Status ParallelMachine::Call(int w, ThreadId thread, ClientBinding& binding,

@@ -6,16 +6,17 @@
 //
 //   A-stack free lists   ParFreeList (Treiber stack, or the single-lock
 //                        baseline) installed per binding per group
-//   binding validation   ShardedBindingTable, a seqlock-per-entry mirror of
-//                        the kernel's table
+//   binding validation   the kernel's own BindingTable, whose seqlock
+//                        index every engine validates through (switched
+//                        to its single-lock baseline when lock_free is off)
 //   idle processors      IdleProcessorRegistry, an atomic slot per cpu that
 //                        makes the Section 3.4 exchange a lock-free claim
 //
 // The engine reuses the existing kernel call path: AdoptWorld() flips an
 // already-built world (domains, bindings, A-stacks) over to the concurrent
-// structures, and workers drive LrpcRuntime::CallParallel on their own
-// Processor. The deterministic simulator stays the default backend and is
-// untouched by any of this.
+// free lists and idle registry, and workers drive
+// LrpcRuntime::CallParallel on their own Processor. The deterministic
+// simulator stays the default backend and is untouched by any of this.
 
 #ifndef SRC_PAR_PARALLEL_MACHINE_H_
 #define SRC_PAR_PARALLEL_MACHINE_H_
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/kern/sharded_binding_table.h"
 #include "src/lrpc/runtime.h"
 #include "src/shm/par_free_list.h"
 
@@ -42,11 +42,6 @@ struct ParallelOptions {
   // false selects the single-lock baselines (free lists and binding table),
   // the contention reference Figure 3 compares against.
   bool lock_free = true;
-  int binding_shards = 16;
-  // Capacity of the sharded binding mirror. The default suits the unit
-  // tests and benches; fleet-scale worlds (10k+ bindings, src/scale) must
-  // raise it — ids at or beyond the cap fail to mirror in AdoptWorld.
-  int max_bindings = 256;
 };
 
 class ParallelMachine {
@@ -54,17 +49,16 @@ class ParallelMachine {
   ParallelMachine(LrpcRuntime& runtime, ParallelOptions options);
 
   // Flips the runtime's already-built world over to the concurrent
-  // structures: enables the lock-free idle registry, mirrors the binding
-  // table into the sharded validator, and installs one ParFreeList per
+  // structures: enables the lock-free idle registry (processors parked
+  // afterwards are published to it), selects the binding table's locked
+  // baseline when lock_free is off, and installs one ParFreeList per
   // binding per A-stack group (seeded with the queue's current free set).
   // Single-threaded; call once, after every Import and before any worker
-  // runs. Bindings are pinned to kFail exhaustion (growth would mutate the
-  // region list under concurrent readers).
+  // runs; later Imports are refused. Bindings are pinned to kFail
+  // exhaustion (growth would mutate the region list under concurrent
+  // readers), and every server's E-stack budget must cover its A-stacks
+  // (checked), so E-stack reclaim and steal never run under real threads.
   void AdoptWorld();
-
-  // Parks `cpu_index` idling in `domain`'s context and publishes it to the
-  // claim registry (the Section 3.4 idle-processor supply).
-  void ParkIdle(int cpu_index, DomainId domain);
 
   // One LRPC on worker `w`'s processor. Valid on any thread, but each
   // worker index must be driven by at most one host thread at a time.
@@ -94,7 +88,8 @@ class ParallelMachine {
 
   const ParallelOptions& options() const { return options_; }
   LrpcRuntime& runtime() { return runtime_; }
-  ShardedBindingTable& bindings() { return bindings_; }
+  // The kernel's binding table, whose index the call leg validates through.
+  BindingTable& bindings() { return runtime_.kernel().bindings(); }
   const std::vector<std::unique_ptr<ParFreeList>>& free_lists() const {
     return free_lists_;
   }
@@ -104,7 +99,6 @@ class ParallelMachine {
  private:
   LrpcRuntime& runtime_;
   ParallelOptions options_;
-  ShardedBindingTable bindings_;
   std::vector<std::unique_ptr<ParFreeList>> free_lists_;
   bool adopted_ = false;
 };

@@ -103,7 +103,9 @@ struct ProcChannel {
   // ringer skips the futex syscall while its partner is still polling.
   std::atomic<std::uint32_t> call_sleepers{0};
   std::atomic<std::uint32_t> return_sleepers{0};
-  // Graceful-shutdown flag, polled by the server between calls.
+  // Graceful-shutdown flag, published by advancing call_seq after it
+  // (ProcHost::RingStop); the server reads it once its wait sees the word
+  // move, before accepting.
   std::atomic<std::uint32_t> shutdown{0};
 
   // --- Batch header, written by the client before the call_seq store. ---

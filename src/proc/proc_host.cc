@@ -12,6 +12,7 @@
 #include <cstring>
 #include <new>
 
+#include "src/lrpc/async_call.h"
 #include "src/lrpc/interface.h"
 #include "src/lrpc/server_frame.h"
 #include "src/nameserver/name_server.h"
@@ -19,6 +20,10 @@
 #include "src/shm/astack.h"
 
 namespace lrpc {
+
+// A full AsyncRing flush always crosses behind one doorbell.
+static_assert(AsyncRing::kMaxDepth <= static_cast<int>(kProcBatchMax),
+              "an AsyncRing flush must fit the channel's batch area");
 
 namespace {
 
@@ -81,10 +86,7 @@ ProcHost::~ProcHost() {
   // doorbell ring), SIGKILL if a child wedges past a short grace window.
   for (auto& [domain, ep] : endpoints_) {
     if (ep.live && ep.pid > 0) {
-      // LRPC_MO(stop-flag)
-      ep.channel->shutdown.store(1, std::memory_order_relaxed);
-      FutexDoorbell::Wake(&ep.channel->call_seq,
-                          &ep.channel->call_sleepers);
+      RingStop(ep);
       int wait_status = 0;
       bool reaped = false;
       for (int waited_ms = 0; waited_ms < 500; waited_ms += 10) {
@@ -263,12 +265,13 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
     std::uint32_t seen = ch->call_seq.load(  // NOLINT(lrpc-seqlock-recheck)
         std::memory_order_acquire);
     while (seen == handled) {
-      // LRPC_MO(stop-flag)
-      if (ch->shutdown.load(std::memory_order_relaxed) != 0) {
-        _exit(0);
-      }
       seen = FutexDoorbell::WaitWhile(&ch->call_seq, &ch->call_sleepers,
                                       handled, 50);
+    }
+    // A stop rings the call doorbell too (RingStop), so it is seen here,
+    // and before the accept: a stop is never served as a batch.
+    if (ch->shutdown.load(std::memory_order_acquire) != 0) {
+      _exit(0);
     }
 
     // Accept: from here on, a death is mid-call (kCallFailed), not
@@ -364,8 +367,13 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
     return Status::Ok();
   }
   if (calls.size() > kProcBatchMax) {
-    // Longer than the channel's batch area: the compatibility loop.
-    return ProcTransport::ExecuteBatch(server, client, calls, kill_phase);
+    // Longer than the channel's batch area: nothing crosses.
+    const Status refused(ErrorCode::kInvalidArgument,
+                         "batch longer than the channel's batch area");
+    for (BatchCall& call : calls) {
+      call.leg = refused;
+    }
+    return refused;
   }
   Endpoint* ep = Find(server);
   if (ep == nullptr) {
@@ -525,6 +533,17 @@ void ProcHost::Cross(Endpoint& ep, DomainId client, std::span<BatchCall> calls,
   }
 }
 
+void ProcHost::RingStop(Endpoint& ep) {
+  // The flag alone would not move call_seq, so a child still in its poll
+  // window would miss the elided wake and futex-sleep a whole slice. The
+  // release advance publishes the flag with the ring, and the child checks
+  // the flag once its wait sees the word move (DoorbellModel proves no
+  // interleaving leaves it asleep with a stop pending).
+  ep.channel->shutdown.store(1, std::memory_order_release);
+  ep.channel->call_seq.fetch_add(1, std::memory_order_release);
+  FutexDoorbell::Wake(&ep.channel->call_seq, &ep.channel->call_sleepers);
+}
+
 void ProcHost::MarkDead(Endpoint& ep) {
   ep.live = false;
   if (!ep.reaped && ep.pid > 0) {
@@ -620,10 +639,7 @@ Status ProcHost::Shutdown(DomainId server) {
   if (!ep->live) {
     return Status(ErrorCode::kDomainTerminated, "peer already dead");
   }
-  // LRPC_MO(stop-flag)
-  ep->channel->shutdown.store(1, std::memory_order_relaxed);
-  FutexDoorbell::Wake(&ep->channel->call_seq,
-                      &ep->channel->call_sleepers);
+  RingStop(*ep);
   int wait_status = 0;
   (void)waitpid(ep->pid, &wait_status, 0);
   ep->reaped = true;

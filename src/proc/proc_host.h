@@ -72,7 +72,8 @@ class ProcHost : public ProcTransport {
   // The single-doorbell batch protocol (docs/async.md): every call crosses
   // the channel's batch area behind ONE call doorbell and ONE return
   // doorbell; a peer death is triaged per entry via the `done` words.
-  // Batches longer than the area fall back to the compatibility loop.
+  // A batch longer than the area (kProcBatchMax) is refused whole with
+  // kInvalidArgument.
   Status ExecuteBatch(DomainId server, DomainId client,
                       std::span<BatchCall> calls,
                       KillPhase kill) override;
@@ -135,6 +136,11 @@ class ProcHost : public ProcTransport {
   // Stops the kernel carving A-stacks from `ep`'s arena; the arena itself
   // goes with the endpoint.
   void RetireArena(Endpoint& ep);
+
+  // The graceful stop: sets the shutdown flag and rings the call doorbell
+  // so the child sees it even mid-poll. Shutdown and the destructor share
+  // it.
+  void RingStop(Endpoint& ep);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.
   void MarkDead(Endpoint& ep);

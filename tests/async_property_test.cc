@@ -297,8 +297,7 @@ TEST(AsyncProperty, DepthOneIsTickIdenticalToSync) {
 
 TEST(AsyncProperty, AsyncEqualsSyncOnTheParallelBackend) {
   // One worker drives both worlds deterministically through the parallel
-  // backend's structures: par free lists, the sharded binding mirror and
-  // EnsureEStackParallel.
+  // backend's structures: par free lists and the idle-processor registry.
   for (int seed = 1; seed <= 50; ++seed) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 40503u + 7);
     ParWorldOptions options;

@@ -36,7 +36,6 @@ class BindingCacheTest : public ::testing::TestWithParam<bool> {
     ShardedBindingTable::Options options;
     options.lock_free = GetParam();
     options.shards = 4;
-    options.max_bindings = 64;
     return options;
   }
 };
@@ -265,8 +264,8 @@ INSTANTIATE_TEST_SUITE_P(BothModes, BindingCacheTest, ::testing::Bool(),
                          });
 
 TEST(BindingCacheEndToEnd, RevokedBindingStopsParallelCallsImmediately) {
-  // End-to-end through the runtime: workers make calls through the sharded
-  // mirror's cached validation; the main thread revokes the binding
+  // End-to-end through the runtime: workers make calls through the kernel
+  // table's cached validation; the main thread revokes the binding
   // mid-run and raises a flag. Any call that STARTED after the flag was
   // observed must fail with kRevokedBinding — the per-thread cache cannot
   // keep a revoked binding callable.

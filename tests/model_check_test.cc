@@ -593,6 +593,11 @@ struct DoorbellModel {
   int ringer_saw = 0;      // What the ringer's sleepers RMW read.
   bool asleep = false;     // The waiter is enqueued in FUTEX_WAIT.
   bool ringer_done = false;
+  // The graceful stop (below): the channel's shutdown flag, and how the
+  // serving child left its wait.
+  bool stop = false;
+  bool child_exited = false;    // Saw the flag and exited.
+  bool child_accepted = false;  // Accepted what it woke for as a batch.
   bool operator==(const DoorbellModel&) const = default;
 };
 
@@ -676,6 +681,114 @@ TEST(DoorbellModel, CheckingSleepersBeforeTheAdvanceIsCaught) {
   // the still-unmoved word and sleeps, and the ringer advances the word
   // and skips the wake: the waiter sleeps through the ring.
   const ExploreStats stats = CheckDoorbell(true);
+  EXPECT_FALSE(stats.ok());
+  ASSERT_FALSE(stats.failure_traces.empty());
+  EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+            std::string::npos);
+}
+
+// --- The graceful stop (ProcHost::RingStop). ---
+//
+// The stopper sets the shutdown flag, advances the call doorbell word (a
+// release RMW that publishes the flag with it) and runs Wake's elision
+// check. The child is ChildServe's wait on that word — poll, announce,
+// re-check, FUTEX_WAIT — followed by its flag check, which comes before the
+// accept. The properties: the child never sleeps with a stop pending once
+// the stopper is done (it would sleep a whole slice before noticing), and
+// a stop is never accepted as a batch. The flag-only variant is the stop
+// sequence that did not advance the word: a child still polling when the
+// stopper's check reads no sleepers goes on to sleep through the stop, and
+// the checker must catch it.
+
+ModelThread<DoorbellModel> Stopper(bool flag_only) {
+  ModelThread<DoorbellModel> t;
+  t.name = "stopper";
+  enum { kFlag, kAdvance, kCheck, kWake };
+  t.steps.resize(4);
+  t.steps[kFlag] = [=](DoorbellModel& m) {
+    m.stop = true;
+    return static_cast<int>(flag_only ? kCheck : kAdvance);
+  };
+  t.steps[kAdvance] = [](DoorbellModel& m) {
+    m.word = 1;
+    return static_cast<int>(kCheck);
+  };
+  t.steps[kCheck] = [](DoorbellModel& m) {
+    m.ringer_saw = m.sleepers;
+    if (m.ringer_saw == 0) {
+      m.ringer_done = true;  // Elided: the child is still polling.
+      return kDone;
+    }
+    return static_cast<int>(kWake);
+  };
+  t.steps[kWake] = [](DoorbellModel& m) {
+    m.asleep = false;  // FUTEX_WAKE.
+    m.ringer_done = true;
+    return kDone;
+  };
+  return t;
+}
+
+ModelThread<DoorbellModel> ServingChild() {
+  ModelThread<DoorbellModel> t;
+  t.name = "child";
+  enum { kPoll, kAnnounce, kRecheck, kFutexWait, kBlocked, kLeave, kFlag };
+  t.steps.resize(7);
+  t.steps[kPoll] = [](DoorbellModel& m) {
+    return static_cast<int>(m.word != 0 ? kFlag : kAnnounce);
+  };
+  t.steps[kAnnounce] = [](DoorbellModel& m) {
+    ++m.sleepers;
+    return static_cast<int>(kRecheck);
+  };
+  t.steps[kRecheck] = [](DoorbellModel& m) {
+    return static_cast<int>(m.word != 0 ? kLeave : kFutexWait);
+  };
+  t.steps[kFutexWait] = [](DoorbellModel& m) {
+    if (m.word != 0) {
+      return static_cast<int>(kLeave);  // EAGAIN: the word moved.
+    }
+    m.asleep = true;
+    return static_cast<int>(kBlocked);
+  };
+  t.steps[kBlocked] = [](DoorbellModel& m) {
+    return static_cast<int>(m.asleep ? kBlocked : kLeave);
+  };
+  t.steps[kLeave] = [](DoorbellModel& m) {
+    --m.sleepers;
+    return static_cast<int>(kFlag);
+  };
+  t.steps[kFlag] = [](DoorbellModel& m) {
+    // Before the accept: a stop ends the serve loop.
+    (m.stop ? m.child_exited : m.child_accepted) = true;
+    return kDone;
+  };
+  return t;
+}
+
+ExploreStats CheckStop(bool flag_only) {
+  Explorer<DoorbellModel> explorer({Stopper(flag_only), ServingChild()});
+  explorer.set_invariant([](const DoorbellModel& m) {
+    return !(m.asleep && m.stop && m.ringer_done) && !m.child_accepted;
+  });
+  explorer.set_terminal_check([](const DoorbellModel& m) {
+    return m.child_exited && !m.asleep && m.sleepers == 0;
+  });
+  return explorer.Run(DoorbellModel{});
+}
+
+TEST(DoorbellModel, StopRingsTheWordSoTheChildNeverSleepsThroughIt) {
+  const ExploreStats stats = CheckStop(/*flag_only=*/false);
+  EXPECT_TRUE(stats.ok()) << stats.failure_traces[0];
+  // The child is caught polling, caught after its re-check, and woken.
+  EXPECT_GT(stats.schedules, 2u);
+}
+
+TEST(DoorbellModel, FlagOnlyStopIsCaught) {
+  // The stopper sets the flag and reads no sleepers while the child is
+  // still polling; the child then announces, re-checks the unmoved word
+  // and sleeps with the stop pending.
+  const ExploreStats stats = CheckStop(/*flag_only=*/true);
   EXPECT_FALSE(stats.ok());
   ASSERT_FALSE(stats.failure_traces.empty());
   EXPECT_NE(stats.failure_traces[0].find("invariant violated"),

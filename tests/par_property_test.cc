@@ -3,8 +3,8 @@
 //   - the Treiber free list and the single-lock baseline are linearizable
 //     against a reference LIFO over seeded operation sequences, and
 //     concurrent pops never hand the same A-stack to two claimants
-//   - the sharded binding validator agrees with the kernel table's
-//     side-effect-free CheckValidate over seeded table populations
+//   - the kernel table's validation (cached and side-effect-free alike)
+//     agrees with its records over seeded table populations
 //   - a single-worker ParallelMachine is call-for-call identical to the
 //     deterministic simulator: same statuses, same results, same clock
 
@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/kern/sharded_binding_table.h"
+#include "src/kern/binding_table.h"
 #include "src/par/par_world.h"
 #include "src/shm/par_free_list.h"
 
@@ -147,19 +147,23 @@ TEST(ShardedTableProperty, SeededPopulationsAgreeWithCheckValidate) {
       BindingRecord& rec = table.Create(client, server, InterfaceId{0},
                                         /*pdl=*/nullptr, /*remote=*/false);
       if (rng() % 5 == 0) {
-        rec.revoked = true;
+        table.Revoke(rec.id);
       }
       objects.push_back(
           BindingObject{.id = rec.id, .nonce = rec.nonce, .remote = false});
     }
+    // The reference verdict, straight from the records the index serves.
+    auto expected_code = [&](const BindingObject& object, DomainId caller) {
+      const BindingRecord* rec = table.Find(object.id);
+      if (rec == nullptr || rec->nonce != object.nonce ||
+          rec->client != caller) {
+        return ErrorCode::kForgedBinding;
+      }
+      return rec->revoked ? ErrorCode::kRevokedBinding : ErrorCode::kOk;
+    };
 
     for (const bool lock_free : {true, false}) {
-      ShardedBindingTable::Options options;
-      options.lock_free = lock_free;
-      options.shards = 1 + static_cast<int>(rng() % 7);
-      ShardedBindingTable sharded(options);
-      sharded.MirrorFrom(table);
-
+      table.set_lock_free(lock_free);
       for (int probe = 0; probe < 64; ++probe) {
         BindingObject object = objects[rng() % objects.size()];
         auto caller = table.Find(object.id)->client;
@@ -176,9 +180,12 @@ TEST(ShardedTableProperty, SeededPopulationsAgreeWithCheckValidate) {
           default:
             break;  // Honest probe.
         }
-        const Status expected = table.CheckValidate(object, caller);
-        Result<BindingRecord*> got = sharded.Validate(object, caller);
-        ASSERT_EQ(got.code(), expected.code())
+        const ErrorCode expected = expected_code(object, caller);
+        ASSERT_EQ(table.CheckValidate(object, caller).code(), expected)
+            << "seed " << seed << " probe " << probe
+            << " lock_free=" << lock_free;
+        Result<BindingRecord*> got = table.Validate(object, caller);
+        ASSERT_EQ(got.code(), expected)
             << "seed " << seed << " probe " << probe
             << " lock_free=" << lock_free;
         if (got.ok()) {
@@ -191,7 +198,8 @@ TEST(ShardedTableProperty, SeededPopulationsAgreeWithCheckValidate) {
 
 TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
   // Readers race a revoker. The seqlock must never let a validation observe
-  // a half-written entry: every verdict is ok or revoked, never forged.
+  // a half-written entry: every verdict is ok or revoked, never forged —
+  // through the cached validation and the uncached read alike.
   BindingTable table(42);
   constexpr int kRecords = 32;
   std::vector<BindingObject> objects;
@@ -201,8 +209,6 @@ TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
     objects.push_back(
         BindingObject{.id = rec.id, .nonce = rec.nonce, .remote = false});
   }
-  ShardedBindingTable sharded;
-  sharded.MirrorFrom(table);
 
   std::vector<std::thread> readers;
   std::atomic<bool> stop{false};
@@ -212,15 +218,18 @@ TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
       std::mt19937 rng(7);
       while (!stop.load(std::memory_order_relaxed)) {
         const BindingObject& object = objects[rng() % objects.size()];
-        Result<BindingRecord*> got = sharded.Validate(object, DomainId{1});
-        if (!got.ok() && got.code() != ErrorCode::kRevokedBinding) {
-          forged.fetch_add(1, std::memory_order_relaxed);
+        const ErrorCode cached = table.Validate(object, DomainId{1}).code();
+        const ErrorCode read = table.CheckValidate(object, DomainId{1}).code();
+        for (const ErrorCode code : {cached, read}) {
+          if (code != ErrorCode::kOk && code != ErrorCode::kRevokedBinding) {
+            forged.fetch_add(1, std::memory_order_relaxed);
+          }
         }
       }
     });
   }
   for (int i = 0; i < kRecords; ++i) {
-    sharded.Revoke(objects[static_cast<std::size_t>(i)].id);
+    table.Revoke(objects[static_cast<std::size_t>(i)].id);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) {
@@ -228,7 +237,7 @@ TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
   }
   EXPECT_EQ(forged.load(), 0u);
   for (const BindingObject& object : objects) {
-    EXPECT_EQ(sharded.Validate(object, DomainId{1}).code(),
+    EXPECT_EQ(table.Validate(object, DomainId{1}).code(),
               ErrorCode::kRevokedBinding);
   }
 }
@@ -302,6 +311,81 @@ TEST(BackendEquivalenceProperty, SingleWorkerMatchesSimulatorCallForCall) {
     }
     ASSERT_EQ(par.server_calls_seen(), sim.server_calls_seen());
     ASSERT_TRUE(par.par()->AuditConservation().ok());
+  }
+}
+
+// Every kernel event, in the order the kernel fired it.
+class EventLog : public KernelEventListener {
+ public:
+  void OnKernelEvent(Kernel&, KernelEventKind kind) override {
+    events.push_back(kind);
+  }
+  std::vector<KernelEventKind> events;
+};
+
+TEST(BackendEquivalenceProperty, SingleWorkerKernelEventsMatchTheSimulator) {
+  // SingleWorkerMatchesSimulatorCallForCall's seeded plan, observed
+  // through a listener on each world: both engines run the same kernel
+  // functions (binding validation, E-stack association, transfers), so
+  // they announce the same events in the same order.
+  for (int seed = 0; seed < 50; ++seed) {
+    ParWorldOptions par_options;
+    par_options.workers = 1;
+    par_options.parked = 1;
+    par_options.backend = RuntimeBackend::kParallelHost;
+    ParWorldOptions sim_options = par_options;
+    sim_options.backend = RuntimeBackend::kDeterministicSim;
+    ParWorld par(par_options);
+    ParWorld sim(sim_options);
+    EventLog par_log;
+    EventLog sim_log;
+    par.kernel().set_event_listener(&par_log);
+    sim.kernel().set_event_listener(&sim_log);
+
+    std::mt19937 rng(static_cast<std::mt19937::result_type>(seed) + 500);
+    for (int call = 0; call < 12; ++call) {
+      switch (rng() % 4) {
+        case 0:
+          ASSERT_EQ(par.CallNull(0).code(), sim.CallNull(0).code());
+          break;
+        case 1: {
+          const auto a = static_cast<std::int32_t>(rng());
+          const auto b = static_cast<std::int32_t>(rng());
+          std::int32_t sum = 0;
+          ASSERT_EQ(par.CallAdd(0, a, b, &sum).code(),
+                    sim.CallAdd(0, a, b, &sum).code());
+          break;
+        }
+        case 2: {
+          std::uint8_t data[kParBigSize];
+          for (auto& byte : data) {
+            byte = static_cast<std::uint8_t>(rng());
+          }
+          ASSERT_EQ(par.CallBigIn(0, data).code(),
+                    sim.CallBigIn(0, data).code());
+          break;
+        }
+        default: {
+          std::uint8_t in[kParBigSize];
+          std::uint8_t out[kParBigSize] = {};
+          for (auto& byte : in) {
+            byte = static_cast<std::uint8_t>(rng());
+          }
+          ASSERT_EQ(par.CallBigInOut(0, in, out).code(),
+                    sim.CallBigInOut(0, in, out).code());
+          break;
+        }
+      }
+    }
+    ASSERT_FALSE(sim_log.events.empty());
+    ASSERT_EQ(par_log.events.size(), sim_log.events.size())
+        << "seed " << seed;
+    for (std::size_t i = 0; i < sim_log.events.size(); ++i) {
+      ASSERT_EQ(par_log.events[i], sim_log.events[i])
+          << "seed " << seed << " event " << i
+          << ": par=" << KernelEventKindName(par_log.events[i])
+          << " sim=" << KernelEventKindName(sim_log.events[i]);
+    }
   }
 }
 

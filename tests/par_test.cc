@@ -1,13 +1,13 @@
 // Unit tests for the real-thread engine's building blocks: the lock-free
 // (and locked-baseline) A-stack free lists, the idle-processor claim
-// registry, the sharded binding validator, and the ParallelMachine facade
-// over an adopted world (docs/concurrency.md).
+// registry, the kernel's binding table under both of its read modes, and
+// the ParallelMachine facade over an adopted world (docs/concurrency.md).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
-#include "src/kern/sharded_binding_table.h"
+#include "src/kern/binding_table.h"
 #include "src/lrpc/testbed.h"
 #include "src/par/par_world.h"
 #include "src/par/parallel_machine.h"
@@ -133,35 +133,40 @@ TEST(IdleRegistry, MissCountersSteerProdding) {
 class ShardedTableTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ShardedTableTest, MirrorValidatesLikeTheKernelTable) {
+  // The kernel's table validates through its seqlock index, in the
+  // lock-free read and in the single-lock baseline alike; the cached
+  // validation and the side-effect-free read agree on every probe.
   Testbed bed;
-  ShardedBindingTable::Options options;
-  options.lock_free = GetParam();
-  options.shards = 4;
-  ShardedBindingTable table(options);
-  table.MirrorFrom(bed.kernel().bindings());
+  BindingTable& table = bed.kernel().bindings();
+  table.set_lock_free(GetParam());
+  const DomainId client = bed.client_domain();
+  auto expect_code = [&](const BindingObject& object, DomainId caller,
+                         ErrorCode code) {
+    EXPECT_EQ(table.Validate(object, caller).code(), code);
+    EXPECT_EQ(table.CheckValidate(object, caller).code(), code);
+  };
 
   const BindingObject& object = bed.binding().object();
-  Result<BindingRecord*> hit = table.Validate(object, bed.client_domain());
+  Result<BindingRecord*> hit = table.Validate(object, client);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ((*hit)->id, object.id);
 
   // Forged nonce.
   BindingObject forged = object;
   forged.nonce ^= 0x1;
-  EXPECT_EQ(table.Validate(forged, bed.client_domain()).code(),
-            ErrorCode::kForgedBinding);
+  expect_code(forged, client, ErrorCode::kForgedBinding);
   // Wrong holder.
-  EXPECT_EQ(table.Validate(object, bed.server_domain()).code(),
-            ErrorCode::kForgedBinding);
-  // Unknown id.
+  expect_code(object, bed.server_domain(), ErrorCode::kForgedBinding);
+  // Unknown ids: past the last binding, and past the index's reach.
   BindingObject unknown = object;
   unknown.id = 9999;
-  EXPECT_EQ(table.Validate(unknown, bed.client_domain()).code(),
-            ErrorCode::kForgedBinding);
-  // Revocation is visible to later validations.
+  expect_code(unknown, client, ErrorCode::kForgedBinding);
+  unknown.id = -1;
+  expect_code(unknown, client, ErrorCode::kForgedBinding);
+  // Revocation reaches the record and every later validation.
   table.Revoke(object.id);
-  EXPECT_EQ(table.Validate(object, bed.client_domain()).code(),
-            ErrorCode::kRevokedBinding);
+  EXPECT_TRUE(bed.binding().record()->revoked);
+  expect_code(object, client, ErrorCode::kRevokedBinding);
   EXPECT_GE(table.validations(), 5u);
 }
 
@@ -256,6 +261,41 @@ TEST(ParWorldTest, DeterministicBackendStillWorksThroughParWorld) {
   std::int32_t sum = 0;
   EXPECT_TRUE(world.CallAdd(0, 1, 2, &sum).ok());
   EXPECT_EQ(sum, 3);
+}
+
+// Terminating a domain revokes its bindings, stopping in-calls and
+// out-calls (Section 5.3) — on the parallel backend too, whose call leg
+// validates through the same table the collector revokes.
+TEST(ParBackendTest, TerminatedServerRevokesTheParallelCallLeg) {
+  ParWorldOptions options;
+  options.workers = 1;
+  ParWorld world(options);
+  ASSERT_NE(world.par(), nullptr);
+  ASSERT_TRUE(world.CallNull(0).ok());  // The binding's cache entry is hot.
+  ASSERT_EQ(world.server_calls_seen(), 1u);
+
+  ASSERT_TRUE(world.runtime().TerminateDomain(world.server_domain()).ok());
+  EXPECT_EQ(world.CallNull(0).code(), ErrorCode::kRevokedBinding);
+  std::int32_t sum = 0;
+  EXPECT_EQ(world.CallAdd(0, 1, 2, &sum).code(), ErrorCode::kRevokedBinding);
+  // No handler ran in the dead domain.
+  EXPECT_EQ(world.server_calls_seen(), 1u);
+}
+
+TEST(ParBackendTest, ImportAfterAdoptionIsRefused) {
+  // A binding made after adoption would have no real-thread free list, so
+  // its calls would pop the simulated queue from real threads.
+  ParWorldOptions options;
+  options.workers = 1;
+  ParWorld world(options);
+  ASSERT_NE(world.par(), nullptr);
+  const std::size_t bindings = world.runtime().bindings().size();
+  Result<ClientBinding*> late = world.runtime().Import(
+      world.machine().processor(0), world.client_domain(0), "par.Measures");
+  EXPECT_EQ(late.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(world.runtime().bindings().size(), bindings);
+  // The world keeps serving its adopted bindings.
+  EXPECT_TRUE(world.CallNull(0).ok());
 }
 
 }  // namespace

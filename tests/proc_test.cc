@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/lrpc/async_call.h"
@@ -115,6 +116,33 @@ TEST(ProcBackendTest, OversizedWindowIsRejectedAndTheServerSurvives) {
   // The server process is still alive and serving.
   EXPECT_TRUE(world.CallNull().ok());
   EXPECT_TRUE(world.host().Serves(world.server_domain()));
+}
+
+TEST(ProcBackendTest, BatchLongerThanTheChannelIsRefusedWhole) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  // One entry more than the channel's batch area: nothing crosses, every
+  // entry carries the refusal, and no handler runs.
+  std::vector<ProcTransport::BatchCall> calls(kProcBatchMax + 1);
+  for (ProcTransport::BatchCall& call : calls) {
+    call.procedure = world.null_proc();
+  }
+  EXPECT_EQ(world.host()
+                .ExecuteBatch(world.server_domain(), world.client_domain(),
+                              calls, ProcTransport::KillPhase::kNone)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  for (const ProcTransport::BatchCall& call : calls) {
+    EXPECT_EQ(call.leg.code(), ErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(world.host().transfers(), 0u);
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 0u);
+
+  // The server then serves a normal call.
+  EXPECT_TRUE(world.CallNull().ok());
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 1u);
 }
 
 TEST(ProcBackendTest, CopyStatsMatchTheSimBackend) {

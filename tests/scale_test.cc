@@ -225,8 +225,9 @@ TEST(ScaleInvariants, SimOverloadRunKeepsKernelInvariants) {
 }
 
 // A 1000-domain-pair fleet (10k bindings) stands up and meets the same
-// gates; bindings spread across the sharded mirror without pathological
-// skew, and the occupancy accessor agrees with the fleet's own count.
+// gates; bindings spread across the binding table's shards without
+// pathological skew, and the occupancy accessor agrees with the fleet's own
+// count.
 TEST(ScaleFleet, TenThousandBindingsOnParallelBackend) {
   FleetOptions options;
   options.backend = RuntimeBackend::kParallelHost;
@@ -241,7 +242,7 @@ TEST(ScaleFleet, TenThousandBindingsOnParallelBackend) {
       world.par()->bindings().MeasureOccupancy();
   EXPECT_EQ(occupancy.total, 10000u);
   EXPECT_EQ(occupancy.per_shard.size(),
-            static_cast<std::size_t>(world.options().binding_shards));
+            static_cast<std::size_t>(ShardedBindingTable::kShards));
   EXPECT_GT(occupancy.min_shard, 0u);
   EXPECT_GE(occupancy.max_shard, occupancy.min_shard);
   // No shard holds more than half the fleet: entries really are sharded.
