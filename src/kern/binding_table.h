@@ -59,7 +59,10 @@ struct BindingObject {
 // move.
 class BindingTable {
  public:
-  explicit BindingTable(std::uint64_t seed) : rng_(seed) {}
+  // `processors` sizes the index's per-processor counter blocks (the
+  // kernel passes its machine's processor count).
+  explicit BindingTable(std::uint64_t seed, int processors = 0)
+      : rng_(seed), index_(ShardedBindingTable::Options(), processors) {}
 
   // Creates the record and publishes its index entry.
   BindingRecord& Create(DomainId client, DomainId server,
@@ -68,10 +71,12 @@ class BindingTable {
   // Call-time validation: detects forged, revoked, and stolen bindings,
   // through the calling thread's binding cache. The kBindingRevocation
   // injection point lives here: a fault revokes the binding at the instant
-  // it would otherwise have validated.
-  Result<BindingRecord*> Validate(const BindingObject& object,
-                                  DomainId caller) {
-    Result<BindingRecord*> validated = index_.ValidateCached(object, caller);
+  // it would otherwise have validated. `cpu` is the caller's
+  // Processor::id(); it indexes the counters only.
+  Result<BindingRecord*> Validate(const BindingObject& object, DomainId caller,
+                                  int cpu = kNoProcessor) {
+    Result<BindingRecord*> validated =
+        index_.ValidateCached(object, caller, cpu);
     if (validated.ok() &&
         FaultPointFires(injector_, FaultKind::kBindingRevocation)) {
       Revoke(object.id);

@@ -58,7 +58,9 @@ std::string_view KernelEventKindName(KernelEventKind kind) {
 }
 
 Kernel::Kernel(Machine& machine, std::uint64_t seed)
-    : machine_(machine), bindings_(seed), scheduler_(machine) {}
+    : machine_(machine),
+      bindings_(seed, machine.processor_count()),
+      scheduler_(machine) {}
 
 DomainId Kernel::CreateDomain(DomainConfig config) {
   const auto id = static_cast<DomainId>(domains_.size());
@@ -121,7 +123,7 @@ Kernel::TransferResult Kernel::EnterDomain(Processor& cpu, Thread& t,
     // the context/TLB swap below races with nothing; re-parking afterwards
     // releases the mutations to the next claimant.
     IdleProcessorRegistry& registry = *machine_.parallel_idle();
-    const int idler_id = registry.TryClaimInContext(target_context);
+    const int idler_id = registry.TryClaimInContext(cpu.id(), target_context);
     if (idler_id >= 0) {
       Processor& idler = machine_.processor(idler_id);
       machine_.ExchangeContexts(cpu, idler);
@@ -131,9 +133,9 @@ Kernel::TransferResult Kernel::EnterDomain(Processor& cpu, Thread& t,
       NotifyEvent(KernelEventKind::kTransfer);
       return result;
     }
-    registry.RecordMiss(target_context);
-    // No auto-prodding here: prodding walks shared processor state, which
-    // only the deterministic driver may do.
+    // No miss counting and no auto-prodding here: prodding walks shared
+    // processor state, which only the deterministic driver may do, so a
+    // miss counter would be a shared write nothing reads.
   } else if (domain_caching_ && allow_exchange) {
     Processor* idler = machine_.FindIdleInContext(target_context);
     // Injection point: the exchange is unavailable — a forced

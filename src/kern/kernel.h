@@ -10,7 +10,6 @@
 #ifndef SRC_KERN_KERNEL_H_
 #define SRC_KERN_KERNEL_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -113,14 +112,12 @@ class Kernel {
     }
   }
 
-  // Kernel-wide linkage claim order (stamped into LinkageRecord::seq when a
-  // call pushes a linkage; the checker verifies LIFO discipline with it).
-  // Atomic so concurrent calls under the real-thread engine draw distinct
-  // values; relaxed, because only uniqueness matters, not ordering.
-  std::uint64_t NextLinkageSeq() {
-    // LRPC_MO(unique-id)
-    return linkage_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+  // Linkage stamps: the call leg stamps LinkageRecord::seq from the calling
+  // Thread's own counter (Thread::NextLinkageSeq), not from a kernel-wide
+  // one. The invariant checker's I1 compares stamps only within one
+  // thread's linkage stack, and a thread's nested calls draw increasing
+  // values from its counter, so per-thread order is all I1 needs; a
+  // kernel-wide counter would be a write every concurrent caller shares.
 
   // Non-owning view of every A-stack region ever allocated (the checker and
   // the termination collector scan by domain).
@@ -286,7 +283,6 @@ class Kernel {
   std::vector<std::unique_ptr<Thread>> threads_;
   FaultInjector* fault_injector_ = nullptr;
   KernelEventListener* listener_ = nullptr;
-  std::atomic<std::uint64_t> linkage_seq_{0};
   // Guards first-call E-stack association on every engine. The guarded
   // state (the server's EStackPool and the regions' estack slots) lives
   // behind references the analysis cannot name, so the capability is

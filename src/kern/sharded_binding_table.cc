@@ -34,8 +34,8 @@ CachedValidation& CacheSlotFor(BindingId id) {
 
 }  // namespace
 
-ShardedBindingTable::ShardedBindingTable(Options options)
-    : options_(options) {
+ShardedBindingTable::ShardedBindingTable(Options options, int processors)
+    : options_(options), counters_(processors) {
   LRPC_CHECK(options_.shards > 0);
   // Seed the generation from a process-wide epoch so a table constructed at
   // a freed table's address can never match a thread's cached entries from
@@ -119,20 +119,19 @@ Status ShardedBindingTable::AddEntry(BindingId id, std::uint64_t nonce,
 }
 
 Result<BindingRecord*> ShardedBindingTable::Validate(
-    const BindingObject& object, DomainId caller) const {
-  // LRPC_MO(stat-counter)
-  validations_.fetch_add(1, std::memory_order_relaxed);
-  return Read(object, caller, /*counted=*/true);
+    const BindingObject& object, DomainId caller, int cpu) const {
+  counters_.Add(cpu, kValidations);
+  return Read(object, caller, /*counted=*/true, cpu);
 }
 
 Result<BindingRecord*> ShardedBindingTable::CheckValidate(
     const BindingObject& object, DomainId caller) const {
-  return Read(object, caller, /*counted=*/false);
+  return Read(object, caller, /*counted=*/false, kNoProcessor);
 }
 
 Result<BindingRecord*> ShardedBindingTable::Read(const BindingObject& object,
-                                                 DomainId caller,
-                                                 bool counted) const {
+                                                 DomainId caller, bool counted,
+                                                 int cpu) const {
   const Entry* entry = FindEntry(object.id);
   if (entry == nullptr) {
     return Status(ErrorCode::kForgedBinding, "binding id out of range");
@@ -148,8 +147,7 @@ Result<BindingRecord*> ShardedBindingTable::Read(const BindingObject& object,
     }
     if ((s1 & 1) != 0) {
       if (counted) {
-        // LRPC_MO(stat-counter)
-        seq_retries_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add(cpu, kSeqRetries);
       }
       continue;
     }
@@ -164,8 +162,7 @@ Result<BindingRecord*> ShardedBindingTable::Read(const BindingObject& object,
     const std::uint64_t s2 = entry->seq.load(std::memory_order_acquire);
     if (s1 != s2) {
       if (counted) {
-        // LRPC_MO(stat-counter)
-        seq_retries_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add(cpu, kSeqRetries);
       }
       continue;
     }
@@ -184,7 +181,7 @@ Result<BindingRecord*> ShardedBindingTable::Read(const BindingObject& object,
 }
 
 Result<BindingRecord*> ShardedBindingTable::ValidateCached(
-    const BindingObject& object, DomainId caller) const {
+    const BindingObject& object, DomainId caller, int cpu) const {
   CachedValidation& slot = CacheSlotFor(object.id);
   // Acquire pairs with the mutators' release bumps: observing a generation
   // value orders this thread after every entry write that preceded the
@@ -193,11 +190,10 @@ Result<BindingRecord*> ShardedBindingTable::ValidateCached(
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (slot.table == this && slot.generation == gen && slot.id == object.id &&
       slot.nonce == object.nonce && slot.client == caller) {
-    // LRPC_MO(stat-counter)
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(cpu, kCacheHits);
     return slot.record;
   }
-  Result<BindingRecord*> result = Validate(object, caller);
+  Result<BindingRecord*> result = Validate(object, caller, cpu);
   if (result.ok()) {
     // Tagged with the generation loaded BEFORE the full validation: if a
     // mutation slipped in between, the tag is conservatively old and the

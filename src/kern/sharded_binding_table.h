@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/common/cacheline.h"
+#include "src/common/per_cpu.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/ids.h"
 #include "src/common/status.h"
@@ -58,8 +59,10 @@ class ShardedBindingTable {
     bool lock_free = true;
   };
 
+  // `processors` sizes the per-processor counter blocks; validations from
+  // a caller with no processor index in range count in a shared block.
   ShardedBindingTable() : ShardedBindingTable(Options()) {}
-  explicit ShardedBindingTable(Options options);
+  explicit ShardedBindingTable(Options options, int processors = 0);
   ~ShardedBindingTable();
 
   ShardedBindingTable(const ShardedBindingTable&) = delete;
@@ -72,9 +75,10 @@ class ShardedBindingTable {
                   bool revoked, BindingRecord* record);
 
   // Call-leg validation: forged (unknown id, nonce mismatch, wrong holder)
-  // and revoked detection, same statuses as BindingTable::Validate.
-  Result<BindingRecord*> Validate(const BindingObject& object,
-                                  DomainId caller) const;
+  // and revoked detection, same statuses as BindingTable::Validate. `cpu`
+  // is the caller's Processor::id(), which indexes the counters only.
+  Result<BindingRecord*> Validate(const BindingObject& object, DomainId caller,
+                                  int cpu = kNoProcessor) const;
 
   // Validate through the calling thread's binding cache (docs/fast_path.md):
   // a repeat call through the same (binding, caller) pair skips the seqlock
@@ -84,7 +88,8 @@ class ShardedBindingTable {
   // has observed a revocation by any means can never hit a stale entry.
   // Same statuses as Validate.
   Result<BindingRecord*> ValidateCached(const BindingObject& object,
-                                        DomainId caller) const;
+                                        DomainId caller,
+                                        int cpu = kNoProcessor) const;
 
   // The same verdict with no side effects: no counters, no cache fill.
   Result<BindingRecord*> CheckValidate(const BindingObject& object,
@@ -101,20 +106,12 @@ class ShardedBindingTable {
   // Selects the lock-free read or the single-lock baseline. Only while no
   // other thread uses the table (the engine's adoption, before workers).
   void set_lock_free(bool lock_free) { options_.lock_free = lock_free; }
-  std::uint64_t validations() const {
-    // LRPC_MO(stat-counter)
-    return validations_.load(std::memory_order_relaxed);
-  }
+  // Counters, summed over the per-processor blocks. Full seqlock reads:
+  std::uint64_t validations() const { return counters_.Sum(kValidations); }
   // Times a reader saw an odd or moved sequence and went around again.
-  std::uint64_t seq_retries() const {
-    // LRPC_MO(stat-counter)
-    return seq_retries_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t seq_retries() const { return counters_.Sum(kSeqRetries); }
   // ValidateCached probes answered without touching the seqlock.
-  std::uint64_t cache_hits() const {
-    // LRPC_MO(stat-counter)
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t cache_hits() const { return counters_.Sum(kCacheHits); }
 
   // Per-shard slot occupancy, for shard-balance assertions at fleet scale
   // (tests/scale_test.cc). Counts stable (even, non-zero seq) entries with
@@ -157,10 +154,17 @@ class ShardedBindingTable {
     return shards_[static_cast<std::size_t>(
         id % static_cast<BindingId>(options_.shards))];
   }
+  enum Counter : std::size_t {
+    kValidations,
+    kSeqRetries,
+    kCacheHits,
+    kCounterCount
+  };
+
   // The shared seqlock read behind Validate and CheckValidate; `counted`
-  // selects whether retries feed seq_retries().
+  // selects whether retries feed seq_retries() (in `cpu`'s block).
   Result<BindingRecord*> Read(const BindingObject& object, DomainId caller,
-                              bool counted) const;
+                              bool counted, int cpu) const;
 
   Options options_;
   std::atomic<Entry*> chunks_[kMaxChunks] = {};
@@ -175,12 +179,12 @@ class ShardedBindingTable {
   // seqlock protocol, not a capability, is what protects the entries.
   mutable std::mutex global_mutex_;
   // The generation is read by every cached validation and written only by
-  // the uncommon mutators; its own line keeps writer bumps from dragging
-  // the statistics lines through every reader.
+  // the uncommon mutators; its own line keeps writer bumps off every
+  // other line a reader touches.
   LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> generation_{1};
-  LRPC_CACHELINE_ALIGNED mutable std::atomic<std::uint64_t> validations_{0};
-  mutable std::atomic<std::uint64_t> seq_retries_{0};
-  mutable std::atomic<std::uint64_t> cache_hits_{0};
+  // One line per processor, written only by the thread driving it, so a
+  // validation writes no line another processor writes.
+  mutable PerCpuCounters<kCounterCount> counters_;
 };
 
 }  // namespace lrpc

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/cacheline.h"
 #include "src/common/ids.h"
 #include "src/shm/astack.h"
 
@@ -33,7 +34,11 @@ enum class ThreadException : std::uint8_t {
   kCallAborted,  // The client abandoned this (captured) thread's call.
 };
 
-class Thread {
+// Line-aligned: the kernel allocates threads one after another, and on the
+// real-thread engine each worker writes its own thread's domain, stack
+// pointer, linkage stack and linkage stamp on every call, so two workers'
+// threads must never share a cache line (docs/fast_path.md layout audit).
+class LRPC_CACHELINE_ALIGNED Thread {
  public:
   Thread(ThreadId id, DomainId home) : id_(id), home_(home), current_(home) {}
 
@@ -66,6 +71,9 @@ class Thread {
     return top;
   }
   bool HasLinkages() const { return !linkage_stack_.empty(); }
+  // The next linkage stamp (LinkageRecord::seq): increasing per thread, so
+  // a nested call's linkage always outranks its caller's (invariant I1).
+  std::uint64_t NextLinkageSeq() { return ++linkage_seq_; }
   const std::vector<AStackRef>& linkage_stack() const { return linkage_stack_; }
   std::vector<AStackRef>& linkage_stack() { return linkage_stack_; }
 
@@ -118,9 +126,13 @@ class Thread {
   std::vector<AStackRef> linkage_stack_;
   std::vector<AStackRef> async_pending_;
   std::uint64_t user_sp_ = 0;
+  std::uint64_t linkage_seq_ = 0;
   bool captured_ = false;
   bool alerted_ = false;
 };
+
+static_assert(alignof(Thread) == kCacheLineSize,
+              "thread layout audit: class must be line-aligned");
 
 }  // namespace lrpc
 

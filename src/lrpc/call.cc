@@ -392,8 +392,8 @@ bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
   // Verify the Binding once, through the per-thread binding cache: a repeat
   // call skips even the seqlock read until a table mutation bumps the
   // generation (docs/fast_path.md). ---
-  Result<BindingRecord*> record_result =
-      kernel_.bindings().Validate(binding.object(), binding.client());
+  Result<BindingRecord*> record_result = kernel_.bindings().Validate(
+      binding.object(), binding.client(), cpu.id());
   BindingRecord* record = record_result.ok() ? *record_result : nullptr;
   int entered = 0;
   for (PendingCall& call : calls) {
@@ -433,7 +433,7 @@ bool LrpcRuntime::KernelLeg(Processor& cpu, ThreadId thread_id,
     // Stamp the claimed linkage: from here it belongs to an accepted call.
     LinkageRecord& linkage = call.astack.linkage();
     linkage.valid = true;
-    linkage.seq = kernel_.NextLinkageSeq();
+    linkage.seq = t->NextLinkageSeq();
     linkage.binding = record->id;
     kernel_.NotifyEvent(KernelEventKind::kLinkageClaimed);
     // Find an execution stack in the server's domain (lazy A-stack/E-stack
@@ -772,8 +772,8 @@ Status LrpcRuntime::RemoteCall(Processor& cpu, ThreadId thread_id,
   const ProcedureDescriptor& pd = iface->pd(procedure);
   const ProcedureDef& def = *pd.def;
 
-  Result<BindingRecord*> record_result =
-      kernel_.bindings().Validate(binding.object(), binding.client());
+  Result<BindingRecord*> record_result = kernel_.bindings().Validate(
+      binding.object(), binding.client(), cpu.id());
   if (!record_result.ok()) {
     return record_result.status();
   }

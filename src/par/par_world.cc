@@ -51,9 +51,8 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
     ProcedureDef def;
     def.name = "Null";
     def.simultaneous_calls = options_.astacks_per_group;
-    def.handler = [this](ServerFrame&) {
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
+    def.handler = [this](ServerFrame& frame) {
+      server_counts_.Add(frame.cpu().id(), kCallsSeen);
       return Status::Ok();
     };
     null_proc_ = iface_->AddProcedure(std::move(def));
@@ -77,8 +76,7 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
       if (!b.ok()) {
         return b.status();
       }
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
+      server_counts_.Add(frame.cpu().id(), kCallsSeen);
       // Unsigned wraparound, as in Testbed: callers probe INT_MAX + 1.
       const auto sum = static_cast<std::int32_t>(
           static_cast<std::uint32_t>(*a) + static_cast<std::uint32_t>(*b));
@@ -103,10 +101,8 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
       }
       // Accumulate, not overwrite: concurrent handlers must not lose each
       // other's observation (the stress test balances the grand total).
-      // LRPC_MO(stat-counter)
-      server_bytes_seen_.fetch_add(sum, std::memory_order_relaxed);
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
+      server_counts_.Add(frame.cpu().id(), kBytesSeen, sum);
+      server_counts_.Add(frame.cpu().id(), kCallsSeen);
       return Status::Ok();
     };
     bigin_proc_ = iface_->AddProcedure(std::move(def));
@@ -125,8 +121,7 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
       if (!n.ok()) {
         return n.status();
       }
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
+      server_counts_.Add(frame.cpu().id(), kCallsSeen);
       std::reverse(buffer, buffer + kParBigSize);
       return frame.WriteResult(1, buffer, kParBigSize);
     };

@@ -6,8 +6,9 @@
 // processor w with its own kernel thread in client domain w % M; with M == 1
 // every worker contends on a single binding's free lists, the §3.4 pattern
 // bench_mt_throughput measures. Handlers here are thread-safe re-statements
-// of the Testbed ones (the server-side counters are atomics), because with
-// the parallel backend several workers execute them concurrently.
+// of the Testbed ones (the server-side counters are per-processor blocks),
+// because with the parallel backend several workers execute them
+// concurrently.
 //
 // The world also builds with the deterministic-simulator backend
 // (workers == 1): the equivalence property test runs the same call sequence
@@ -16,11 +17,11 @@
 #ifndef SRC_PAR_PAR_WORLD_H_
 #define SRC_PAR_PAR_WORLD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/common/per_cpu.h"
 #include "src/lrpc/runtime.h"
 #include "src/par/parallel_machine.h"
 
@@ -85,13 +86,11 @@ class ParWorld {
   // Sum of every byte the server observed across all BigIn calls (stress
   // tests balance this against what the clients sent).
   std::uint64_t server_bytes_seen() const {
-    // LRPC_MO(stat-counter)
-    return server_bytes_seen_.load(std::memory_order_relaxed);
+    return server_counts_.Sum(kBytesSeen);
   }
   // Completed server executions, counted inside the handlers.
   std::uint64_t server_calls_seen() const {
-    // LRPC_MO(stat-counter)
-    return server_calls_seen_.load(std::memory_order_relaxed);
+    return server_counts_.Sum(kCallsSeen);
   }
 
  private:
@@ -113,8 +112,11 @@ class ParWorld {
   int add_proc_ = -1;
   int bigin_proc_ = -1;
   int biginout_proc_ = -1;
-  std::atomic<std::uint64_t> server_bytes_seen_{0};
-  std::atomic<std::uint64_t> server_calls_seen_{0};
+  // Counted per processor: a handler runs on its caller's processor, and
+  // one counter every worker bumps would be a shared write on every call.
+  enum ServerCount : std::size_t { kCallsSeen, kBytesSeen, kServerCounts };
+  PerCpuCounters<kServerCounts> server_counts_{options_.workers +
+                                               options_.parked};
 };
 
 }  // namespace lrpc

@@ -21,10 +21,7 @@ void ParallelMachine::AdoptWorld() {
   adopted_ = true;
 
   Kernel& kernel = runtime_.kernel();
-  // VM contexts are assigned densely from 1 (0 is the kernel's), so the
-  // registry's miss counters need one slot per domain plus the kernel.
-  runtime_.machine().EnableParallelIdle(
-      static_cast<int>(kernel.domain_count()) + 1);
+  runtime_.machine().EnableParallelIdle();
 
   kernel.bindings().set_lock_free(options_.lock_free);
   runtime_.MarkAdopted();
@@ -55,7 +52,8 @@ void ParallelMachine::AdoptWorld() {
           binding->interface_spec()->name() + ".binding" +
               std::to_string(binding->object().id) + ".group" +
               std::to_string(group),
-          options_.lock_free, static_cast<int>(queue.entries().size()));
+          options_.lock_free, static_cast<int>(queue.entries().size()),
+          runtime_.machine().processor_count());
       // The simulated queue keeps its full entry set (post-run conservation
       // checks still see it); the par list is the live overlay. Registering
       // in the queue's push order preserves the LIFO discipline.

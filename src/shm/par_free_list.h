@@ -15,8 +15,26 @@
 //   locked     the paper's single-lock baseline, kept behind a flag as the
 //              contention reference for bench_mt_throughput
 //
+// In lock-free mode a one-entry magazine per processor sits in front of the
+// Treiber stack, so a caller that pops and pushes on the same processor never
+// writes a line another processor writes:
+//
+//   push   exchanges the A-stack into the caller's own slot; the A-stack it
+//          displaces (if any) spills onto the Treiber stack
+//   pop    takes the caller's own slot first, then the Treiber stack, and
+//          on an empty stack steals from other processors' slots by
+//          exchange before it reports kAStacksExhausted
+//
+// The slot always holds the most recently pushed A-stack, so a single
+// caller still sees the simulated queue's LIFO order, and stealing means a
+// list of k A-stacks still admits k simultaneous claims. Slot words carry
+// a tag like the head, advanced by every change, so exhaustion is reported
+// only on a consistent view: two censuses of the head and every slot that
+// find nothing free and agree on the sum of the tags (see Exhausted).
+//
 // Ownership transfer is the synchronization: a successful pop acquires
-// everything the previous owner released with its push. That edge is why the
+// everything the previous owner released with its push — through the head
+// compare-exchange or through a slot exchange. That edge is why the
 // A-stack bytes, the linkage record and the E-stack association need no
 // atomics of their own — exactly one thread owns them between a pop and the
 // matching push.
@@ -34,6 +52,7 @@
 #include <vector>
 
 #include "src/common/cacheline.h"
+#include "src/common/per_cpu.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/shm/astack.h"
@@ -44,8 +63,10 @@ namespace lrpc {
 class ParFreeList {
  public:
   // `capacity` bounds Register calls; the node array is sized once so no
-  // operation ever reallocates shared storage.
-  ParFreeList(std::string name, bool lock_free, int capacity);
+  // operation ever reallocates shared storage. `processors` is the
+  // machine's processor count: it sizes the magazine (lock-free mode) and
+  // the per-processor counters, indexed by Processor::id().
+  ParFreeList(std::string name, bool lock_free, int capacity, int processors);
 
   // Setup, single-threaded: registers `ref` as the next node and places it
   // on the free list. Registration must follow each region's index order
@@ -53,8 +74,10 @@ class ParFreeList {
   // the simulated queue's LIFO discipline.
   void Register(AStackRef ref);
 
-  // Pops the most recently pushed A-stack, or kAStacksExhausted. The charge
-  // mirrors AStackQueue::Pop so the cost ledger keeps its Table 5 shape.
+  // Pops the most recently pushed A-stack (the caller's own magazine slot
+  // first), or kAStacksExhausted once neither the stack nor any slot holds
+  // one. The charge mirrors AStackQueue::Pop so the cost ledger keeps its
+  // Table 5 shape.
   Result<AStackRef> Pop(Processor& cpu, SimDuration charge_while_held = 0);
   void Push(Processor& cpu, AStackRef ref, SimDuration charge_while_held = 0);
 
@@ -65,22 +88,19 @@ class ParFreeList {
   // Every node ever registered, in registration order (conservation audits).
   const std::vector<AStackRef>& nodes() const { return slots_; }
 
-  // The free set right now. Only meaningful when no concurrent operations
-  // are in flight (post-run audits).
+  // The free set right now — every magazine slot that holds an A-stack,
+  // then the Treiber chain — each A-stack once. Only meaningful when no
+  // concurrent operations are in flight (post-run audits).
   std::vector<AStackRef> Snapshot() const;
 
-  // Contention counters (relaxed; approximate while threads run).
-  // LRPC_MO(stat-counter)
-  std::uint64_t pops() const { return pops_.load(std::memory_order_relaxed); }
-  std::uint64_t pushes() const {
-    return pushes_.load(std::memory_order_relaxed);  // LRPC_MO(stat-counter)
-  }
-  std::uint64_t cas_retries() const {
-    // LRPC_MO(stat-counter)
-    return cas_retries_.load(std::memory_order_relaxed);
-  }
-  // Tag of the current head; each successful pop or push advances it (tests
-  // use it to observe the ABA counter).
+  // Contention counters, summed over the per-processor blocks (approximate
+  // while threads run).
+  std::uint64_t pops() const { return counters_.Sum(kPops); }
+  std::uint64_t pushes() const { return counters_.Sum(kPushes); }
+  std::uint64_t cas_retries() const { return counters_.Sum(kCasRetries); }
+  // Tag of the current head; each successful exchange on the Treiber stack
+  // advances it (tests use it to observe the ABA counter, and to show that
+  // a caller served by its own magazine slot never touches the head).
   std::uint32_t head_tag() const {
     // LRPC_MO(quiescent-audit)
     return UnpackTag(head_.load(std::memory_order_relaxed));
@@ -88,6 +108,7 @@ class ParFreeList {
 
  private:
   static constexpr std::int32_t kEmpty = -1;
+  enum Counter : std::size_t { kPops, kPushes, kCasRetries, kCounterCount };
 
   static std::uint64_t Pack(std::uint32_t tag, std::int32_t index) {
     return (std::uint64_t{tag} << 32) |
@@ -101,6 +122,20 @@ class ParFreeList {
   }
 
   std::int32_t NodeOf(AStackRef ref) const;
+  // The Treiber stack's own pop and push; `cpu` indexes the retry counter.
+  std::int32_t PopStack(int cpu);
+  void PushStack(int cpu, std::int32_t id);
+  // Empties a magazine slot word, returning the A-stack it held or kEmpty.
+  static std::int32_t TakeFrom(std::atomic<std::uint64_t>& word);
+  // Takes an A-stack out of another processor's slot; kEmpty when every
+  // other slot is empty.
+  std::int32_t Steal(int cpu);
+  // True only if, at some instant during the call, neither the stack nor
+  // any slot held an A-stack.
+  bool Exhausted() const;
+  // Sum of the head's and every slot's tag; sets `*any_free` when one of
+  // them holds an A-stack.
+  std::uint64_t Census(bool* any_free) const;
 
   std::string name_;
   bool lock_free_;
@@ -122,14 +157,25 @@ class ParFreeList {
   LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> head_{Pack(0, kEmpty)};
   std::unique_ptr<std::atomic<std::int32_t>[]> next_;
 
+  // The magazine: one slot per processor (lock-free mode; none in the
+  // locked baseline), each on its own line, written by its processor's
+  // pushes and pops and only by a rival that steals from it. The word
+  // packs {tag:32, index:32} like the head.
+  struct LRPC_CACHELINE_ALIGNED MagazineSlot {
+    std::atomic<std::uint64_t> word{Pack(0, kEmpty)};
+  };
+  static_assert(sizeof(MagazineSlot) == kCacheLineSize,
+                "free-list layout audit: one line per magazine slot");
+  int magazine_size_ = 0;
+  std::unique_ptr<MagazineSlot[]> magazine_;
+
   // Locked-baseline state.
   mutable Mutex mutex_;
   std::vector<std::int32_t> free_ids_ LRPC_GUARDED_BY(mutex_);
 
-  // Statistics, on their own line so bumping them never invalidates head_.
-  LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> pops_{0};
-  std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> cas_retries_{0};
+  // Statistics: one line per processor, so bumping them never invalidates
+  // head_ or a rival's line.
+  PerCpuCounters<kCounterCount> counters_;
 };
 
 static_assert(sizeof(std::atomic<std::uint64_t>) == 8);

@@ -60,10 +60,8 @@ class Machine {
   // Replaces the scan-based registry above with a lock-free one; while
   // enabled, Kernel::EnterDomain claims idlers through it instead of
   // FindIdleInContext, and Kernel::ParkIdleProcessor publishes through it.
-  // `max_contexts` bounds the VM context ids the miss counters track.
-  void EnableParallelIdle(int max_contexts) {
-    par_idle_ = std::make_unique<IdleProcessorRegistry>(processor_count(),
-                                                        max_contexts);
+  void EnableParallelIdle() {
+    par_idle_ = std::make_unique<IdleProcessorRegistry>(processor_count());
   }
   IdleProcessorRegistry* parallel_idle() { return par_idle_.get(); }
 

@@ -8,11 +8,16 @@
 // code, every 2- and 3-thread interleaving is enumerated, and — because a
 // checker that cannot find bugs proves nothing — each model is paired
 // with a deliberately broken variant (the exact orderings the source
-// comments defend against) that the checker must catch.
+// comments defend against) that the checker must catch. The same treatment
+// covers the AsyncRing completion ring, the futex doorbell, and the A-stack
+// free list's per-processor magazine.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/model_check.h"
 
@@ -789,6 +794,380 @@ TEST(DoorbellModel, FlagOnlyStopIsCaught) {
   // still polling; the child then announces, re-checks the unmoved word
   // and sleeps with the stop pending.
   const ExploreStats stats = CheckStop(/*flag_only=*/true);
+  EXPECT_FALSE(stats.ok());
+  ASSERT_FALSE(stats.failure_traces.empty());
+  EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+            std::string::npos);
+}
+
+// --- ParFreeList's per-processor magazine (src/shm/par_free_list.cc). ---
+//
+// Processors share one list of two A-stacks. A pop empties its own slot
+// word, then pops the Treiber stack, then steals from the other slots by
+// exchange, and reports exhaustion only after two censuses of the head and
+// every slot find nothing free and agree on the sum of their tags; a push
+// exchanges the A-stack into its own slot and spills the one it displaces
+// onto the stack. Each word access is one step; the Treiber stack's pop
+// and push are one step each (its compare-exchange is linearizable; the
+// ABA tag has its own tests). Two properties, checked after every step:
+//
+//   - each A-stack is in exactly one place — a slot, the stack, one
+//     claimant's hands, or a spill in flight — so none is handed to two
+//     claimants and none is lost; at quiescence all are free again
+//   - a pop reports exhaustion only if, at some instant during that pop,
+//     no A-stack was free anywhere (k A-stacks admit k claims)
+//
+// Three broken variants must be caught: a steal that loads a slot and
+// stores it empty in a later step instead of one exchange, a push that
+// loads its slot and stores the new A-stack in a later step (both let two
+// claimants hold one A-stack), and a pop that reports exhaustion after a
+// single look at the stack and the slots (an owner refills a slot the look
+// has passed while another empties one it has yet to reach).
+
+constexpr int kMagazineCpus = 3;
+constexpr int kMagazineAStacks = 2;
+constexpr int kMagazineWords = kMagazineCpus + 1;  // The head and the slots.
+
+struct MagazineModel {
+  int slot[kMagazineCpus] = {};  // Per-processor slots; 0 = empty.
+  int slot_tag[kMagazineCpus] = {};
+  int stack[kMagazineAStacks] = {};  // Treiber stack; top at depth - 1.
+  int depth = 0;
+  int stack_tag = 0;
+  int held[kMagazineCpus][kMagazineAStacks] = {};  // Claimants' hands.
+  int held_count[kMagazineCpus] = {};
+  int spill[kMagazineCpus] = {};  // A displaced A-stack bound for the stack.
+  int peek[kMagazineCpus] = {};   // A broken variant's loaded slot value.
+  // The exhaustion census, per claimant.
+  int census_sum[kMagazineCpus] = {};
+  bool census_free[kMagazineCpus] = {};
+  int first_sum[kMagazineCpus] = {};
+  // Whether, since the claimant's pop began, an instant passed with no
+  // A-stack free.
+  bool in_pop[kMagazineCpus] = {};
+  bool none_free_seen[kMagazineCpus] = {};
+  int exhausted = 0;
+  bool spurious_exhaustion = false;
+  bool operator==(const MagazineModel&) const = default;
+};
+
+enum class MagazineVariant { kCorrect, kSplitSteal, kSplitPush, kSingleLook };
+
+int FreeAStacks(const MagazineModel& m) {
+  int free = m.depth;
+  for (int c = 0; c < kMagazineCpus; ++c) {
+    free += (m.slot[c] != 0 ? 1 : 0) + (m.spill[c] != 0 ? 1 : 0);
+  }
+  return free;
+}
+
+void TakeAStack(MagazineModel& m, int t, int astack) {
+  m.held[t][m.held_count[t]++] = astack;
+}
+
+void EndPop(MagazineModel& m, int t) {
+  m.census_sum[t] = 0;
+  m.census_free[t] = false;
+  m.first_sum[t] = 0;
+  m.in_pop[t] = false;
+  m.none_free_seen[t] = false;
+}
+
+// Appends one Pop on processor `t`; control continues after its steps.
+void AppendPop(ModelThread<MagazineModel>& thread, int t,
+               MagazineVariant variant) {
+  const bool split_steal = variant == MagazineVariant::kSplitSteal;
+  const int census_steps =
+      variant == MagazineVariant::kSingleLook ? 0 : 2 * kMagazineWords;
+  const int base = static_cast<int>(thread.steps.size());
+  const int stack_step = base + 1;
+  std::vector<int> victims;
+  std::vector<int> steal_step;
+  int index = base + 2;
+  for (int c = 0; c < kMagazineCpus; ++c) {
+    if (c != t) {
+      victims.push_back(c);
+      steal_step.push_back(index);
+      index += split_steal ? 2 : 1;
+    }
+  }
+  const int census_step = index;
+  const int report_step = census_step + census_steps;
+  const int next = report_step + 1;
+
+  thread.steps.push_back([=](MagazineModel& m) {  // Own slot: take.
+    m.in_pop[t] = true;
+    const int astack = m.slot[t];
+    if (astack == 0) {
+      return stack_step;
+    }
+    m.slot[t] = 0;
+    ++m.slot_tag[t];
+    TakeAStack(m, t, astack);
+    EndPop(m, t);
+    return next;
+  });
+  thread.steps.push_back([=](MagazineModel& m) {  // Treiber pop.
+    if (m.depth == 0) {
+      return steal_step[0];
+    }
+    TakeAStack(m, t, m.stack[--m.depth]);
+    m.stack[m.depth] = 0;
+    ++m.stack_tag;
+    EndPop(m, t);
+    return next;
+  });
+  for (std::size_t v = 0; v < victims.size(); ++v) {
+    const int victim = victims[v];
+    const int after = v + 1 < victims.size() ? steal_step[v + 1] : census_step;
+    if (!split_steal) {
+      thread.steps.push_back([=](MagazineModel& m) {  // Steal: exchange.
+        const int astack = m.slot[victim];
+        if (astack == 0) {
+          return after;
+        }
+        m.slot[victim] = 0;
+        ++m.slot_tag[victim];
+        TakeAStack(m, t, astack);
+        EndPop(m, t);
+        return next;
+      });
+    } else {
+      const int store_step = steal_step[v] + 1;
+      thread.steps.push_back([=](MagazineModel& m) {  // Broken steal: load.
+        m.peek[t] = m.slot[victim];
+        return m.peek[t] != 0 ? store_step : after;
+      });
+      thread.steps.push_back([=](MagazineModel& m) {  // Broken steal: store.
+        m.slot[victim] = 0;
+        ++m.slot_tag[victim];
+        TakeAStack(m, t, m.peek[t]);
+        m.peek[t] = 0;
+        EndPop(m, t);
+        return next;
+      });
+    }
+  }
+  for (int step = 0; step < census_steps; ++step) {
+    const int pass = step / kMagazineWords;
+    const int word = step % kMagazineWords;
+    thread.steps.push_back([=](MagazineModel& m) {  // One census read.
+      if (word == 0) {
+        m.census_sum[t] = m.stack_tag;
+        m.census_free[t] = m.depth > 0;
+      } else {
+        m.census_sum[t] += m.slot_tag[word - 1];
+        m.census_free[t] = m.census_free[t] || m.slot[word - 1] != 0;
+      }
+      if (word + 1 < kMagazineWords) {
+        return census_step + step + 1;
+      }
+      const bool retry = m.census_free[t] ||
+                         (pass == 1 && m.census_sum[t] != m.first_sum[t]);
+      if (pass == 0 && !retry) {
+        m.first_sum[t] = m.census_sum[t];
+      }
+      m.census_sum[t] = 0;
+      m.census_free[t] = false;
+      if (retry) {
+        m.first_sum[t] = 0;
+        return stack_step;
+      }
+      return census_step + step + 1;  // The second pass, or the report.
+    });
+  }
+  thread.steps.push_back([=](MagazineModel& m) {  // kAStacksExhausted.
+    ++m.exhausted;
+    if (!m.none_free_seen[t]) {
+      m.spurious_exhaustion = true;
+    }
+    EndPop(m, t);
+    return next;
+  });
+}
+
+// Appends one Push of the claimant's latest A-stack (nothing when its pop
+// came up empty).
+void AppendPush(ModelThread<MagazineModel>& thread, int t,
+                MagazineVariant variant) {
+  const bool split_push = variant == MagazineVariant::kSplitPush;
+  const int base = static_cast<int>(thread.steps.size());
+  const int spill_step = base + (split_push ? 2 : 1);
+  const int next = spill_step + 1;
+  auto park = [=](MagazineModel& m, int displaced) {
+    const int astack = m.held[t][--m.held_count[t]];
+    m.held[t][m.held_count[t]] = 0;
+    m.slot[t] = astack;
+    ++m.slot_tag[t];
+    m.spill[t] = displaced;
+    return displaced != 0 ? spill_step : next;
+  };
+  if (!split_push) {
+    thread.steps.push_back([=](MagazineModel& m) {  // Own slot: exchange.
+      if (m.held_count[t] == 0) {
+        return next;
+      }
+      return park(m, m.slot[t]);
+    });
+  } else {
+    thread.steps.push_back([=](MagazineModel& m) {  // Broken push: load.
+      if (m.held_count[t] == 0) {
+        return next;
+      }
+      m.peek[t] = m.slot[t];
+      return base + 1;
+    });
+    thread.steps.push_back([=](MagazineModel& m) {  // Broken push: store.
+      const int displaced = m.peek[t];
+      m.peek[t] = 0;
+      return park(m, displaced);
+    });
+  }
+  thread.steps.push_back([=](MagazineModel& m) {  // Spill: Treiber push.
+    m.stack[m.depth++] = m.spill[t];
+    m.spill[t] = 0;
+    ++m.stack_tag;
+    return next;
+  });
+}
+
+// `pops` pops, then `pushes` pushes, on processor `cpu`.
+ModelThread<MagazineModel> MagazineClaimant(std::string name, int cpu,
+                                            int pops, int pushes,
+                                            MagazineVariant pop,
+                                            MagazineVariant push) {
+  ModelThread<MagazineModel> thread;
+  thread.name = std::move(name);
+  for (int i = 0; i < pops; ++i) {
+    AppendPop(thread, cpu, pop);
+  }
+  for (int i = 0; i < pushes; ++i) {
+    AppendPush(thread, cpu, push);
+  }
+  thread.steps.push_back([](MagazineModel&) { return kDone; });
+  // After every step, note for each pop in progress whether no A-stack is
+  // free right now (what an exhaustion report must be able to point to).
+  for (auto& step : thread.steps) {
+    step = [inner = step](MagazineModel& m) {
+      const int pc = inner(m);
+      if (FreeAStacks(m) == 0) {
+        for (int c = 0; c < kMagazineCpus; ++c) {
+          m.none_free_seen[c] = m.none_free_seen[c] || m.in_pop[c];
+        }
+      }
+      return pc;
+    };
+  }
+  return thread;
+}
+
+ExploreStats CheckMagazine(std::vector<ModelThread<MagazineModel>> threads,
+                           const MagazineModel& initial) {
+  Explorer<MagazineModel> explorer(std::move(threads));
+  explorer.set_invariant([](const MagazineModel& m) {
+    for (int astack = 1; astack <= kMagazineAStacks; ++astack) {
+      int places = 0;
+      for (int c = 0; c < kMagazineCpus; ++c) {
+        places += m.slot[c] == astack ? 1 : 0;
+        places += m.spill[c] == astack ? 1 : 0;
+        for (int i = 0; i < m.held_count[c]; ++i) {
+          places += m.held[c][i] == astack ? 1 : 0;
+        }
+      }
+      for (int i = 0; i < m.depth; ++i) {
+        places += m.stack[i] == astack ? 1 : 0;
+      }
+      if (places != 1) {
+        return false;  // Handed out twice, or lost.
+      }
+    }
+    return !m.spurious_exhaustion;
+  });
+  explorer.set_terminal_check([](const MagazineModel& m) {
+    // Every claim was returned: all A-stacks are free again.
+    return FreeAStacks(m) == kMagazineAStacks;
+  });
+  return explorer.Run(initial);
+}
+
+// An owner claims twice and returns both; a stealer on another processor
+// claims once and returns it — three claims on two A-stacks, so some
+// schedules drain the list and a pop must steal or come up empty. The
+// owner starts with A-stack 1 parked in its slot and A-stack 2 on the
+// stack.
+ExploreStats CheckOwnerAndStealer(MagazineVariant steal, MagazineVariant push) {
+  MagazineModel initial;
+  initial.slot[0] = 1;
+  initial.stack[0] = 2;
+  initial.depth = 1;
+  return CheckMagazine(
+      {MagazineClaimant("owner", 0, 2, 2, MagazineVariant::kCorrect, push),
+       MagazineClaimant("stealer", 1, 1, 1, steal,
+                        MagazineVariant::kCorrect)},
+      initial);
+}
+
+// One pop on processor 0 while processor 1 returns the A-stack it holds
+// and processor 2 claims and returns the one parked in its slot: one
+// A-stack is free at every instant, so the pop must never report
+// exhaustion.
+ExploreStats CheckPopAmidChurn(MagazineVariant pop) {
+  MagazineModel initial;
+  initial.held[1][0] = 1;
+  initial.held_count[1] = 1;
+  initial.slot[2] = 2;
+  return CheckMagazine(
+      {MagazineClaimant("popper", 0, 1, 1, pop, MagazineVariant::kCorrect),
+       MagazineClaimant("returner", 1, 0, 1, MagazineVariant::kCorrect,
+                        MagazineVariant::kCorrect),
+       MagazineClaimant("churner", 2, 1, 1, MagazineVariant::kCorrect,
+                        MagazineVariant::kCorrect)},
+      initial);
+}
+
+TEST(MagazineModel, StealByExchangeNeverDoubleClaimsOrLoses) {
+  const ExploreStats stats =
+      CheckOwnerAndStealer(MagazineVariant::kCorrect, MagazineVariant::kCorrect);
+  EXPECT_TRUE(stats.ok()) << stats.failure_traces[0];
+  // Schedules where the stealer takes from the stack, steals the owner's
+  // slot, and comes up empty are all reached.
+  EXPECT_GT(stats.schedules, 10u);
+}
+
+TEST(MagazineModel, StealWithLoadThenStoreIsCaught) {
+  // The stealer loads A-stack 1 from the owner's slot; the owner's own
+  // exchange takes it; the stealer's store then claims it too.
+  const ExploreStats stats = CheckOwnerAndStealer(MagazineVariant::kSplitSteal,
+                                                  MagazineVariant::kCorrect);
+  EXPECT_FALSE(stats.ok());
+  ASSERT_FALSE(stats.failure_traces.empty());
+  EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+            std::string::npos);
+}
+
+TEST(MagazineModel, PushWithLoadThenStoreIsCaught) {
+  // The owner's push loads A-stack 2 from its slot; the stealer, finding
+  // the stack empty, steals 2; the owner's store then spills 2 onto the
+  // stack as well.
+  const ExploreStats stats = CheckOwnerAndStealer(MagazineVariant::kCorrect,
+                                                  MagazineVariant::kSplitPush);
+  EXPECT_FALSE(stats.ok());
+  ASSERT_FALSE(stats.failure_traces.empty());
+  EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+            std::string::npos);
+}
+
+TEST(MagazineModel, ExhaustionNeedsTwoAgreeingCensuses) {
+  const ExploreStats stats = CheckPopAmidChurn(MagazineVariant::kCorrect);
+  EXPECT_TRUE(stats.ok()) << stats.failure_traces[0];
+  EXPECT_GT(stats.schedules, 10u);
+}
+
+TEST(MagazineModel, ExhaustionAfterASingleLookIsCaught) {
+  // The popper finds processor 1's slot empty while it still holds its
+  // A-stack; processor 1 then parks it, and processor 2 takes its own
+  // before the popper's look reaches slot 2.
+  const ExploreStats stats = CheckPopAmidChurn(MagazineVariant::kSingleLook);
   EXPECT_FALSE(stats.ok());
   ASSERT_FALSE(stats.failure_traces.empty());
   EXPECT_NE(stats.failure_traces[0].find("invariant violated"),

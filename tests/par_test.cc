@@ -1,11 +1,16 @@
 // Unit tests for the real-thread engine's building blocks: the lock-free
-// (and locked-baseline) A-stack free lists, the idle-processor claim
-// registry, the kernel's binding table under both of its read modes, and
-// the ParallelMachine facade over an adopted world (docs/concurrency.md).
+// (and locked-baseline) A-stack free lists and their per-processor
+// magazines, the idle-processor claim registry, the kernel's binding table
+// under both of its read modes, and the ParallelMachine facade over an
+// adopted world — including that its common path writes no shared line
+// (docs/concurrency.md).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <vector>
 
 #include "src/kern/binding_table.h"
 #include "src/lrpc/testbed.h"
@@ -23,7 +28,8 @@ TEST_P(ParFreeListTest, PopsInLifoOrderAndReportsExhaustion) {
   Machine machine(MachineModel::CVaxFirefly(), 1);
   Processor& cpu = machine.processor(0);
   AStackRegion region(DomainId{0}, DomainId{1}, 256, 3, /*secondary=*/false);
-  ParFreeList list("test.group0", /*lock_free=*/GetParam(), /*capacity=*/3);
+  ParFreeList list("test.group0", /*lock_free=*/GetParam(), /*capacity=*/3,
+                   /*processors=*/1);
   for (int i = 0; i < 3; ++i) {
     list.Register(AStackRef{&region, i});
   }
@@ -55,7 +61,7 @@ TEST_P(ParFreeListTest, SnapshotIsTheFreeSet) {
   Machine machine(MachineModel::CVaxFirefly(), 1);
   Processor& cpu = machine.processor(0);
   AStackRegion region(DomainId{0}, DomainId{1}, 256, 4, /*secondary=*/false);
-  ParFreeList list("test.snapshot", GetParam(), 4);
+  ParFreeList list("test.snapshot", GetParam(), 4, /*processors=*/1);
   for (int i = 0; i < 4; ++i) {
     list.Register(AStackRef{&region, i});
   }
@@ -80,27 +86,100 @@ TEST(ParFreeListAba, HeadTagAdvancesOnEveryExchange) {
   Machine machine(MachineModel::CVaxFirefly(), 1);
   Processor& cpu = machine.processor(0);
   AStackRegion region(DomainId{0}, DomainId{1}, 256, 2, /*secondary=*/false);
-  ParFreeList list("test.aba", /*lock_free=*/true, 2);
+  ParFreeList list("test.aba", /*lock_free=*/true, 2, /*processors=*/1);
   list.Register(AStackRef{&region, 0});
   list.Register(AStackRef{&region, 1});
 
+  // Node 1 is at the head. Both pops come off the Treiber stack (the
+  // magazine slot starts empty), each advancing the tag.
   const std::uint32_t tag0 = list.head_tag();
-  Result<AStackRef> popped = list.Pop(cpu);
-  ASSERT_TRUE(popped.ok());
+  Result<AStackRef> first = list.Pop(cpu);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->index, 1);
   const std::uint32_t tag1 = list.head_tag();
   EXPECT_NE(tag0, tag1);
-  // The ABA case: pop and push the same node back. The head points at the
-  // same node as before, but the tag has moved — a rival's stale
-  // compare-exchange from before this round cannot win.
-  list.Push(cpu, *popped);
+  Result<AStackRef> second = list.Pop(cpu);
+  ASSERT_TRUE(second.ok());
+  const std::uint32_t tag2 = list.head_tag();
+  EXPECT_NE(tag1, tag2);
+  // The first push parks node 1 in the processor's slot: no exchange on
+  // the head, so the tag stays.
+  list.Push(cpu, *first);
+  EXPECT_EQ(list.head_tag(), tag2);
+  // The ABA case: the second push displaces node 1, which spills back onto
+  // the stack. The head points at the same node as at tag0, but the tag
+  // has moved — a rival's stale compare-exchange from before this round
+  // cannot win.
+  list.Push(cpu, *second);
+  EXPECT_NE(list.head_tag(), tag2);
   EXPECT_NE(list.head_tag(), tag1);
   EXPECT_NE(list.head_tag(), tag0);
 }
 
+// A list of k A-stacks admits exactly k outstanding claims even while
+// other processors' magazine slots hold some of them: a pop that finds the
+// stack empty steals from the slots before it reports exhaustion.
+TEST(ParFreeListMagazine, KAStacksAdmitKClaimsWhileOtherSlotsHoldSome) {
+  constexpr int kProcessors = 4;
+  constexpr int kAStacks = 4;
+  Machine machine(MachineModel::CVaxFirefly(), kProcessors);
+  AStackRegion region(DomainId{0}, DomainId{1}, 64, kAStacks,
+                      /*secondary=*/false);
+  ParFreeList list("test.magazine", /*lock_free=*/true, kAStacks,
+                   kProcessors);
+  for (int i = 0; i < kAStacks; ++i) {
+    list.Register(AStackRef{&region, i});
+  }
+  auto sorted_indices = [](std::vector<AStackRef> refs) {
+    std::vector<int> out;
+    for (const AStackRef& ref : refs) {
+      out.push_back(ref.index);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<int> all = {0, 1, 2, 3};
+
+  // Processors 1..3 each pop and push one A-stack: it parks in their slot,
+  // leaving one A-stack on the Treiber stack.
+  for (int p = 1; p < kProcessors; ++p) {
+    Processor& cpu = machine.processor(p);
+    Result<AStackRef> ref = list.Pop(cpu);
+    ASSERT_TRUE(ref.ok());
+    list.Push(cpu, *ref);
+  }
+  // Snapshot counts slot-held A-stacks exactly once.
+  EXPECT_EQ(sorted_indices(list.Snapshot()), all);
+
+  // Processor 0 claims all k: one from the stack, three stolen.
+  Processor& cpu0 = machine.processor(0);
+  std::vector<AStackRef> claimed;
+  for (int i = 0; i < kAStacks; ++i) {
+    Result<AStackRef> ref = list.Pop(cpu0);
+    ASSERT_TRUE(ref.ok()) << "claim " << i;
+    claimed.push_back(*ref);
+  }
+  EXPECT_EQ(sorted_indices(claimed), all);
+  EXPECT_TRUE(list.Snapshot().empty());
+  // Exhaustion comes only at k + 1, on any processor.
+  EXPECT_EQ(list.Pop(cpu0).code(), ErrorCode::kAStacksExhausted);
+  EXPECT_EQ(list.Pop(machine.processor(2)).code(),
+            ErrorCode::kAStacksExhausted);
+
+  // Pushing them back fills processor 0's slot and spills the rest; each
+  // is free exactly once again.
+  for (const AStackRef& ref : claimed) {
+    list.Push(cpu0, ref);
+  }
+  EXPECT_EQ(sorted_indices(list.Snapshot()), all);
+  EXPECT_EQ(list.pops(), 7u);
+  EXPECT_EQ(list.pushes(), 7u);
+}
+
 TEST(IdleRegistry, ClaimIsExclusiveAndContextKeyed) {
-  IdleProcessorRegistry registry(/*processor_count=*/4, /*max_contexts=*/8);
+  IdleProcessorRegistry registry(/*processor_count=*/4);
   EXPECT_EQ(registry.parked_count(), 0);
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{2}), -1);
+  EXPECT_EQ(registry.TryClaimInContext(/*cpu=*/0, VmContextId{2}), -1);
   EXPECT_EQ(registry.failed_claims(), 1u);
 
   registry.Park(/*cpu=*/1, VmContextId{2});
@@ -108,26 +187,16 @@ TEST(IdleRegistry, ClaimIsExclusiveAndContextKeyed) {
   EXPECT_EQ(registry.parked_count(), 2);
 
   // Wrong context: the parked set does not satisfy it.
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{4}), -1);
+  EXPECT_EQ(registry.TryClaimInContext(0, VmContextId{4}), -1);
   // Right context: claim succeeds exactly once.
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{2}), 1);
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{2}), -1);
+  EXPECT_EQ(registry.TryClaimInContext(0, VmContextId{2}), 1);
+  EXPECT_EQ(registry.TryClaimInContext(2, VmContextId{2}), -1);
   EXPECT_EQ(registry.parked_count(), 1);
   EXPECT_EQ(registry.claims(), 1u);
 
   registry.Unpark(3);
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{5}), -1);
+  EXPECT_EQ(registry.TryClaimInContext(0, VmContextId{5}), -1);
   EXPECT_EQ(registry.parked_count(), 0);
-}
-
-TEST(IdleRegistry, MissCountersSteerProdding) {
-  IdleProcessorRegistry registry(2, 8);
-  EXPECT_EQ(registry.BusiestMissedContext(), kNoVmContext);
-  registry.RecordMiss(VmContextId{3});
-  registry.RecordMiss(VmContextId{3});
-  registry.RecordMiss(VmContextId{1});
-  EXPECT_EQ(registry.misses(VmContextId{3}), 2u);
-  EXPECT_EQ(registry.BusiestMissedContext(), VmContextId{3});
 }
 
 class ShardedTableTest : public ::testing::TestWithParam<bool> {};
@@ -261,6 +330,91 @@ TEST(ParWorldTest, DeterministicBackendStillWorksThroughParWorld) {
   std::int32_t sum = 0;
   EXPECT_TRUE(world.CallAdd(0, 1, 2, &sum).ok());
   EXPECT_EQ(sum, 3);
+}
+
+// The paper's common path takes no shared lock (Section 3.4); on the
+// real-thread engine it writes no shared line either. After warm-up, a
+// single worker's calls are served by its own magazine slot, so no free
+// list's Treiber head moves.
+TEST(ParCommonPath, SingleWorkerCallsLeaveEveryHeadTagUnchanged) {
+  ParWorldOptions options;
+  options.workers = 1;
+  ParWorld world(options);
+  ASSERT_NE(world.par(), nullptr);
+  std::uint8_t in[kParBigSize] = {};
+  std::uint8_t out[kParBigSize] = {};
+  std::int32_t sum = 0;
+  auto call_each = [&] {
+    EXPECT_TRUE(world.CallNull(0).ok());
+    EXPECT_TRUE(world.CallAdd(0, 2, 3, &sum).ok());
+    EXPECT_TRUE(world.CallBigIn(0, in).ok());
+    EXPECT_TRUE(world.CallBigInOut(0, in, out).ok());
+  };
+  call_each();  // Warm-up: parks one A-stack per group in the slot.
+
+  const auto& lists = world.par()->free_lists();
+  std::vector<std::uint32_t> tags;
+  std::uint64_t pops = 0;
+  for (const auto& list : lists) {
+    tags.push_back(list->head_tag());
+    pops += list->pops();
+  }
+  constexpr int kRounds = 50;
+  for (int i = 0; i < kRounds; ++i) {
+    call_each();
+  }
+  std::uint64_t pops_after = 0;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    EXPECT_EQ(lists[i]->head_tag(), tags[i]) << lists[i]->name();
+    pops_after += lists[i]->pops();
+  }
+  EXPECT_EQ(pops_after - pops, 4u * kRounds);
+  EXPECT_TRUE(world.par()->AuditConservation().ok());
+}
+
+// The call-path counters moved into per-processor blocks; their accessors
+// still count every call, and a run that leaves A-stacks in several
+// processors' magazine slots still passes the conservation audit.
+TEST(ParCommonPath, FourWorkerCountersStillCountEveryCall) {
+  ParWorldOptions options;
+  options.workers = 4;
+  options.domains = 2;  // Two workers per binding.
+  ParWorld world(options);
+  ParallelMachine& par = *world.par();
+  IdleProcessorRegistry& idle = *world.machine().parallel_idle();
+  struct Counts {
+    std::uint64_t pops = 0, pushes = 0, validations = 0, cache_hits = 0,
+                  failed_claims = 0;
+  };
+  auto read = [&] {
+    Counts c;
+    for (const auto& list : par.free_lists()) {
+      c.pops += list->pops();
+      c.pushes += list->pushes();
+    }
+    c.validations = par.bindings().validations();
+    c.cache_hits = par.bindings().cache_hits();
+    c.failed_claims = idle.failed_claims();
+    return c;
+  };
+  const Counts before = read();
+  const ParallelMachine::RunReport report = par.RunWorkers(
+      std::chrono::milliseconds(50), [&](int w) { return world.CallNull(w); });
+  const Counts after = read();
+
+  ASSERT_GT(report.calls, 0u);
+  EXPECT_EQ(report.failures, 0u);
+  EXPECT_EQ(after.pops - before.pops, report.calls);
+  EXPECT_EQ(after.pushes - before.pushes, report.calls);
+  EXPECT_EQ((after.cache_hits - before.cache_hits) +
+                (after.validations - before.validations),
+            report.calls);
+  // Nothing is parked: both legs of every call try a claim and fail.
+  EXPECT_EQ(after.failed_claims - before.failed_claims, 2 * report.calls);
+  EXPECT_TRUE(par.AuditConservation().ok());
+  for (const auto& list : par.free_lists()) {
+    EXPECT_EQ(list->Snapshot().size(), list->nodes().size()) << list->name();
+  }
 }
 
 // Terminating a domain revokes its bindings, stopping in-calls and
